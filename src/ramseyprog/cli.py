@@ -40,7 +40,7 @@ from .oracle import (
     primary_partition_check,
     verify_counting_inequality,
 )
-from .progressions import Family
+from .progressions import MAX_DIGIT_COLORS, Family
 from .search import (
     SearchBudget,
     check_witness,
@@ -50,12 +50,6 @@ from .search import (
     write_witness,
 )
 
-DEFAULT_MAX_NODES = 2_000_000
-DEFAULT_MAX_LENGTH = 64
-DEFAULT_MAX_POINTS = 24
-DEFAULT_MAX_COLORINGS = 2**24
-
-
 def _truncate5(x: float) -> str:
     """Five decimals, truncated toward zero: 1.0823922 displays as 1.08239."""
     s = f"{x:.12f}"
@@ -64,16 +58,6 @@ def _truncate5(x: float) -> str:
 
 def _beta_cell(base: float) -> str:
     return "<1" if base <= 1 else _truncate5(base)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _emit(fmt: str, payload, lines: List[str]) -> None:
@@ -95,29 +79,36 @@ def _family(args) -> Family:
     return Family(args.family, args.param)
 
 
+def _budget_cap(args, budget_cls, field: str) -> int:
+    """A budget cap: its flag if given, else RAMSEYPROG_<FIELD> from the
+    environment, else the budget dataclass's default."""
+    value = getattr(args, field, None)
+    if value is not None:
+        return value
+    name = f"RAMSEYPROG_{field.upper()}"
+    raw = os.environ.get(name)
+    if raw is None:
+        return getattr(budget_cls, field)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _search_budget(args) -> SearchBudget:
-    max_nodes = args.max_nodes
-    if max_nodes is None:
-        max_nodes = _env_int("RAMSEYPROG_MAX_NODES", DEFAULT_MAX_NODES)
-    max_length = getattr(args, "max_length", None)
-    if max_length is None:
-        max_length = _env_int("RAMSEYPROG_MAX_LENGTH", DEFAULT_MAX_LENGTH)
     return SearchBudget(
-        max_nodes=max_nodes,
-        max_length=max_length,
+        max_nodes=_budget_cap(args, SearchBudget, "max_nodes"),
+        max_length=_budget_cap(args, SearchBudget, "max_length"),
         seed=args.seed,
         restarts=args.restarts,
     )
 
 
 def _oracle_budget(args) -> OracleBudget:
-    max_points = args.max_points
-    if max_points is None:
-        max_points = _env_int("RAMSEYPROG_MAX_POINTS", DEFAULT_MAX_POINTS)
-    max_colorings = args.max_colorings
-    if max_colorings is None:
-        max_colorings = _env_int("RAMSEYPROG_MAX_COLORINGS", DEFAULT_MAX_COLORINGS)
-    return OracleBudget(max_points=max_points, max_colorings=max_colorings)
+    return OracleBudget(
+        max_points=_budget_cap(args, OracleBudget, "max_points"),
+        max_colorings=_budget_cap(args, OracleBudget, "max_colorings"),
+    )
 
 
 def cmd_bound(args) -> int:
@@ -288,6 +279,8 @@ def _cert_payload(cert) -> dict:
 
 
 def cmd_search(args) -> int:
+    if args.r > MAX_DIGIT_COLORS:
+        raise ValueError(f"--r is at most {MAX_DIGIT_COLORS} (one digit per point)")
     family = _family(args)
     budget = _search_budget(args)
     if args.search_cmd == "exact":
@@ -399,8 +392,8 @@ def _add_family(p: argparse.ArgumentParser) -> None:
 def _add_search_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-nodes", type=int, default=None,
                    help="search node / repair-move cap")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--restarts", type=int, default=10,
+    p.add_argument("--seed", type=int, default=SearchBudget.seed, help="random seed")
+    p.add_argument("--restarts", type=int, default=SearchBudget.restarts,
                    help="random restarts for witness search")
 
 

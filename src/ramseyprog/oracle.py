@@ -24,6 +24,7 @@ from .progressions import (
     Coloring,
     Family,
     Progression,
+    chains_from,
     conjugate_vector,
     primary_progression,
     weight,
@@ -72,26 +73,12 @@ def all_progressions(N: int, k: int, family: Family) -> Tuple[Tuple[int, ...], .
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
-    out: List[Tuple[int, ...]] = []
-
-    def extend(terms: List[int], d: int) -> None:
-        if len(terms) == k:
-            out.append(tuple(terms))
-            return
-        if terms[-1] + (k - len(terms)) * d > N:
-            return
-        for gap in family.allowed_gaps(d):
-            nxt = terms[-1] + gap
-            if nxt > N:
-                break
-            terms.append(nxt)
-            extend(terms, d)
-            terms.pop()
-
-    for a in range(1, N + 1):
-        for d in range(1, max(0, (N - a) // (k - 1)) + 1):
-            extend([a], d)
-    return tuple(out)
+    return tuple(
+        terms
+        for a in range(1, N + 1)
+        for d in range(1, (N - a) // (k - 1) + 1)
+        for terms in progressions_from(N, k, family, a, d)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -124,24 +111,7 @@ def progressions_from(
         raise ValueError(f"first term {a} outside [1, {N}]")
     if d < 1:
         raise ValueError("low-difference must be a positive integer")
-    out: List[Tuple[int, ...]] = []
-
-    def extend(terms: List[int]) -> None:
-        if len(terms) == k:
-            out.append(tuple(terms))
-            return
-        if terms[-1] + (k - len(terms)) * d > N:
-            return
-        for gap in family.allowed_gaps(d):
-            nxt = terms[-1] + gap
-            if nxt > N:
-                break
-            terms.append(nxt)
-            extend(terms)
-            terms.pop()
-
-    extend([a])
-    return tuple(out)
+    return tuple(chains_from((0,) * N, a, d, k, family))
 
 
 def _mono_exists_bits(x: int, masks: Tuple[int, ...]) -> bool:

@@ -19,10 +19,11 @@ Everything here is a pure function of its inputs; there is no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 SEMI = "semi"
 QUASI = "quasi"
+MAX_DIGIT_COLORS = 10  # Coloring.digits writes one decimal digit per point
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ class Coloring:
         return self.colors[point - 1]
 
     def digits(self) -> str:
-        """The coloring as a base-r digit string (r <= 10)."""
-        if self.r > 10:
-            raise ValueError("digit serialization supports at most 10 colors")
+        """The coloring as a base-r digit string (r <= MAX_DIGIT_COLORS)."""
+        if self.r > MAX_DIGIT_COLORS:
+            raise ValueError(f"digits support at most {MAX_DIGIT_COLORS} colors")
         return "".join(str(c) for c in self.colors)
 
     @classmethod
@@ -260,6 +261,90 @@ def forced_elements(p: Progression) -> set:
     return out
 
 
+def fill_chains(
+    colors: Sequence[int], points: Iterable[int], columns: list, cap: int
+) -> bool:
+    """The chain-length kernel.  For each 0-based point i of ``points``, in
+    order, and each (offsets, lengths) column, set lengths[i] to 1 + max
+    lengths[i+s] over the offsets s that land inside ``colors`` on i's color.
+    Backward offsets over ascending points give the longest monochromatic
+    chain ending at each point; forward offsets over descending points, the
+    longest one starting there.  Return True, leaving the rest unfilled, as
+    soon as an entry reaches cap (a cap above len(colors) never stops it).
+    """
+    n = len(colors)
+    for i in points:
+        c = colors[i]
+        for offsets, lengths in columns:
+            best = 0
+            for s in offsets:
+                j = i + s
+                if not 0 <= j < n:
+                    break
+                if colors[j] == c and lengths[j] > best:
+                    best = lengths[j]
+            lengths[i] = best = best + 1
+            if best >= cap:
+                return True
+    return False
+
+
+def chain_counts(
+    colors: Sequence[int], i: int, c: int, offsets: Sequence[int], steps: int
+) -> List[int]:
+    """The counting form of fill_chains: entry t is the number of chains of
+    t steps from 0-based point i, each step one of the signed offsets, that
+    visit only points of color c (i itself excluded), for t = 0..steps."""
+    n = len(colors)
+    layer = {i: 1}
+    counts = [1]
+    for _ in range(steps):
+        reached: dict = {}
+        for q, ways in layer.items():
+            for s in offsets:
+                j = q + s
+                if not 0 <= j < n:
+                    break
+                if colors[j] == c:
+                    reached[j] = reached.get(j, 0) + ways
+        layer = reached
+        counts.append(sum(reached.values()))
+    return counts
+
+
+def chains_from(
+    colors: Sequence[int], a: int, d: int, k: int, family: Family
+) -> Iterator[Tuple[int, ...]]:
+    """Every k-term progression with first term a and low-difference d whose
+    terms all have a's color in ``colors`` (point i at index i-1), in
+    ascending conjugate-vector order.  The forward chain lengths for d come
+    first, so the walk only takes steps that can still be completed.
+    """
+    n = len(colors)
+    c = colors[a - 1]
+    gaps = tuple(family.allowed_gaps(d))
+    starting = [0] * n
+    # only a's color matters, and no chain from a passes a + (k-1) * max gap
+    last = min(n, a + (k - 1) * gaps[-1])
+    points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
+    fill_chains(colors, points, [(gaps, starting)], n + 1)
+    terms = [a]
+    untried = [iter(gaps)]
+    while terms:
+        need = k - len(terms)
+        if not need:
+            yield tuple(terms)
+        for g in untried[-1] if need else ():
+            j = terms[-1] + g
+            if j <= n and colors[j - 1] == c and starting[j - 1] >= need:
+                terms.append(j)
+                untried.append(iter(gaps))
+                break
+        else:
+            terms.pop()
+            untried.pop()
+
+
 def primary_progression(
     chi: Coloring, a: int, d: int, k: int, family: Family
 ) -> Optional[Progression]:
@@ -267,10 +352,9 @@ def primary_progression(
     low-difference d whose conjugate vector is lexicographically least, or
     None if no such monochromatic progression fits inside [1, N].
 
-    Depth-first search over conjugate entries in increasing order; the first
-    complete monochromatic completion is the lexicographic minimum.  Plain
-    greedy is wrong here: the smallest feasible entry can dead-end before k
-    terms are reached, so the search backtracks.
+    Plain greedy on the coloring is wrong (the smallest feasible entry can
+    dead-end before k terms), so each step takes the smallest gap whose
+    forward chain is still long enough: that is the lexicographic minimum.
     """
     if k < 2:
         raise ValueError("progressions need at least two terms")
@@ -279,50 +363,32 @@ def primary_progression(
     n_points = chi.n_points
     if not 1 <= a <= n_points:
         raise ValueError(f"first term {a} outside [1, {n_points}]")
-    color = chi.color_of(a)
-    colors = chi.colors
-    top = family.max_excess
-    semi = family.kind == SEMI
-    terms = [a]
-
-    def extend() -> bool:
-        if len(terms) == k:
-            return True
-        last = terms[-1]
-        # remaining gaps are each at least d
-        if last + (k - len(terms)) * d > n_points:
-            return False
-        for e in range(top + 1):
-            nxt = last + (d * (e + 1) if semi else d + e)
-            if nxt > n_points:
-                break
-            if colors[nxt - 1] != color:
-                continue
-            terms.append(nxt)
-            if extend():
-                return True
-            terms.pop()
-        return False
-
-    if extend():
-        return Progression(tuple(terms), d, family)
-    return None
+    terms = next(chains_from(chi.colors, a, d, k, family), None)
+    return None if terms is None else Progression(terms, d, family)
 
 
 def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progression]:
     """Some monochromatic k-term progression of the family inside [1, N], or None.
 
-    Deterministic: scans (first term, low-difference) pairs in lexicographic
-    order, each resolved to its primary progression, so the result is the
-    smallest (a, d, conjugate vector) triple.  d never exceeds
-    (N - a) // (k - 1) because even the tightest progression spans (k-1)d.
+    Deterministic: the result is the smallest (a, d, conjugate vector)
+    triple.  For each d up to (N - 1) // (k - 1), since even the tightest
+    progression spans (k-1)d, a right-to-left pass fills the forward chain
+    lengths and keeps the least first term whose chain reaches k.  Later
+    passes only look at earlier first terms, so they stop where those
+    chains end, and one column is held at a time.
     """
     if k < 2:
         raise ValueError("progressions need at least two terms")
-    n_points = chi.n_points
-    for a in range(1, n_points + 1):
-        for d in range(1, (n_points - a) // (k - 1) + 1):
-            p = primary_progression(chi, a, d, k, family)
-            if p is not None:
-                return p
-    return None
+    n = chi.n_points
+    best_d, firsts = 0, n  # 0-based first terms below firsts can still win
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        if not firsts:
+            break
+        gaps = tuple(family.allowed_gaps(d))
+        starting = [0] * n
+        last = min(n, firsts + (k - 1) * gaps[-1])
+        fill_chains(chi.colors, range(last - 1, -1, -1), [(gaps, starting)], n + 1)
+        a = next((a for a in range(firsts) if starting[a] >= k), None)
+        if a is not None:
+            best_d, firsts = d, a
+    return primary_progression(chi, firsts + 1, best_d, k, family) if best_d else None

@@ -1,8 +1,9 @@
 """Exact Ramsey thresholds at small parameters, plus randomized witnesses.
 
-The exact route is depth-first extension of partial colorings, left to
-right, rejecting a color as soon as it completes a monochromatic k-term
-progression ending at the newly colored point.  When the search exhausts
+The exact route extends partial colorings left to right by an iterative
+depth-first search.  Coloring a point fills its row of the chain-length
+table (progressions.fill_chains), and a color is rejected as soon as a
+monochromatic chain ending there reaches k terms.  When the search exhausts
 all colorings of [1, N] without finding a valid one, every coloring of
 [1, N] contains a monochromatic progression and N is the threshold.  The
 randomized route exhibits valid colorings at sizes where exhaustive proof
@@ -21,7 +22,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import BudgetExceededError, WitnessFormatError
-from .progressions import SEMI, Coloring, Family, find_monochromatic
+from .progressions import (
+    Coloring,
+    Family,
+    chain_counts,
+    fill_chains,
+    find_monochromatic,
+)
 
 
 @dataclass(frozen=True)
@@ -58,36 +65,6 @@ class ThresholdCertificate:
     exhaustive: bool
 
 
-def _completes_mono(colors: List[int], pos: int, k: int, family: Family) -> bool:
-    """Does some monochromatic k-term progression end exactly at point pos?
-
-    Only colors[0:pos] are inspected, so this is safe on partial colorings.
-    Backward depth-first search per low-difference, gaps tried smallest
-    first, cut off when even minimal gaps would run past point 1.
-    """
-    c = colors[pos - 1]
-    top = family.max_excess
-    semi = family.kind == SEMI
-
-    def back(cur: int, remaining: int, d: int) -> bool:
-        if remaining == 0:
-            return True
-        if cur - remaining * d < 1:
-            return False
-        for e in range(top + 1):
-            prev = cur - ((e + 1) * d if semi else d + e)
-            if prev < 1:
-                break
-            if colors[prev - 1] == c and back(prev, remaining - 1, d):
-                return True
-        return False
-
-    for d in range(1, (pos - 1) // (k - 1) + 1):
-        if back(pos, k - 1, d):
-            return True
-    return False
-
-
 class _NodeMeter:
     """Cumulative node counter that raises once the cap is crossed."""
 
@@ -110,23 +87,32 @@ def _find_valid_coloring(
     Colors are tried in ascending order and a color may exceed the largest
     used so far by at most one, so exactly one representative per
     color-permutation class is visited; a class contains a valid coloring
-    iff its representative is valid.
+    iff its representative is valid.  next_color[i] is the next color to
+    try at 0-based point i, top[i] the largest color before it.  A chain
+    table row depends only on earlier rows, so backtracking keeps them valid.
     """
     colors = [0] * N
-
-    def assign(pos: int, max_used: int) -> bool:
-        if pos > N:
-            return True
-        for c in range(min(max_used + 2, r)):
-            meter.tick()
-            colors[pos - 1] = c
-            if not _completes_mono(colors, pos, k, family):
-                if assign(pos + 1, max(max_used, c)):
-                    return True
-        return False
-
-    if assign(1, -1):
-        return tuple(colors)
+    columns = [  # per low-difference: backward gap offsets, chain lengths
+        (tuple(-g for g in family.allowed_gaps(d)), [0] * N)
+        for d in range(1, (N - 1) // (k - 1) + 1)
+    ]
+    next_color = [0] * N
+    top = [-1] * (N + 1)
+    i = 0
+    while i >= 0:
+        if i == N:
+            return tuple(colors)
+        c = next_color[i]
+        if c > top[i] + 1 or c == r:
+            next_color[i] = 0
+            i -= 1
+            continue
+        next_color[i] = c + 1
+        meter.tick()
+        colors[i] = c
+        if not fill_chains(colors, (i,), columns, k):
+            top[i + 1] = max(top[i], c)
+            i += 1
     return None
 
 
@@ -185,31 +171,17 @@ def _mono_through_count(
     monochromatic if p had color c (all other terms already colored c).
 
     Used by the repair step to score candidate colors when r > 2.  Splits
-    each progression at p: for every low-difference, chains extending
-    backward and forward from p are counted by depth-first search and
+    each progression at p: for every low-difference, the counting form of
+    the chain table (progressions.chain_counts) gives the number of c-colored
+    chains of each length backward and forward from p, and the two are
     combined over all splits.
     """
-    N = len(colors)
-    top = family.max_excess
-    semi = family.kind == SEMI
     total = 0
-
-    def chains(cur: int, steps: int, sign: int, d: int) -> int:
-        if steps == 0:
-            return 1
-        acc = 0
-        for e in range(top + 1):
-            nxt = cur + sign * ((e + 1) * d if semi else d + e)
-            if nxt < 1 or nxt > N:
-                break
-            if colors[nxt - 1] == c:
-                acc += chains(nxt, steps - 1, sign, d)
-        return acc
-
-    for d in range(1, (N - 1) // (k - 1) + 1):
-        back = [chains(p, L, -1, d) for L in range(k)]
-        fwd = [chains(p, R, +1, d) for R in range(k)]
-        total += sum(back[L] * fwd[k - 1 - L] for L in range(k))
+    for d in range(1, (len(colors) - 1) // (k - 1) + 1):
+        gaps = tuple(family.allowed_gaps(d))
+        back = chain_counts(colors, p - 1, c, tuple(-g for g in gaps), k - 1)
+        fwd = chain_counts(colors, p - 1, c, gaps, k - 1)
+        total += sum(b * f for b, f in zip(back, reversed(fwd)))
     return total
 
 
@@ -248,15 +220,11 @@ def random_witness_search(
             old = colors[p - 1]
             if r == 2:
                 colors[p - 1] = 1 - old
-            else:
-                best_c, best_score = old, None
-                for c in range(r):
-                    if c == old:
-                        continue
-                    score = _mono_through_count(colors, p, c, k, family)
-                    if best_score is None or score < best_score:
-                        best_c, best_score = c, score
-                colors[p - 1] = best_c
+            else:  # min keeps the first, so the smallest, of tied colors
+                colors[p - 1] = min(
+                    (c for c in range(r) if c != old),
+                    key=lambda c: _mono_through_count(colors, p, c, k, family),
+                )
             moves_here += 1
             moves_total += 1
         if moves_total >= budget.max_nodes:

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from ramseyprog import cli
 from ramseyprog.cli import main
 from ramseyprog.progressions import Coloring, Family
-from ramseyprog.search import write_witness
+from ramseyprog.oracle import OracleBudget
+from ramseyprog.search import SearchBudget, write_witness
 
 
 def run(capsys, *argv):
@@ -168,6 +170,52 @@ def test_search_exact_budget_exceeded(capsys):
     assert payload["value"] >= 3
 
 
+def test_search_exact_deep_budget_exceeded(capsys, tmp_path):
+    # the search starts at N = k = 1100 points, deeper than the interpreter's
+    # recursion limit, and runs out of nodes a few lengths later
+    out_file = tmp_path / "w.txt"
+    code, out, _ = run(capsys, "search", "exact", "--r", "2", "--k", "1100",
+                       "--family", "semi", "--param", "1", "--max-length", "1200",
+                       "--max-nodes", "20000", "--witness-out", str(out_file),
+                       "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["exhaustive"] is False
+    assert payload["value"] > 1100
+    assert len(payload["witness"]) == payload["value"] - 1
+    code, _, _ = run(capsys, "check", str(out_file))
+    assert code == 0
+
+
+def test_search_more_than_ten_colors_exit_2_before_searching(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "exact_threshold", never)
+    monkeypatch.setattr(cli, "random_witness_search", never)
+    code, _, err = run(capsys, "search", "exact", "--r", "11", "--k", "3",
+                       "--family", "semi", "--param", "1")
+    assert code == 2
+    assert "--r" in err
+    code, out, _ = run(capsys, "search", "witness", "--r", "11", "--N", "30",
+                       "--k", "3", "--family", "semi", "--param", "1",
+                       "--format", "json")
+    assert code == 2
+    assert json.loads(out)["type"] == "ValueError"
+
+
+def test_budget_defaults_come_from_the_dataclasses(monkeypatch):
+    for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
+        monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
+    parser = cli.build_parser()
+    args = parser.parse_args(["search", "exact", "--k", "3",
+                              "--family", "semi", "--param", "1"])
+    assert cli._search_budget(args) == SearchBudget()
+    args = parser.parse_args(["oracle", "count", "--N", "5", "--k", "3",
+                              "--family", "semi", "--param", "1"])
+    assert cli._oracle_budget(args) == OracleBudget()
+
+
 def test_search_witness_found(capsys, tmp_path):
     out_file = tmp_path / "w.txt"
     code, out, _ = run(capsys, "search", "witness", "--r", "2", "--N", "8",
@@ -192,6 +240,15 @@ def test_search_witness_not_found_exit_3(capsys):
 def test_check_invalid_witness_exit_1(capsys, tmp_path):
     path = tmp_path / "const.txt"
     write_witness(str(path), Coloring((0,) * 6, 2), 3, Family.semi(1))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "INVALID" in out
+
+
+def test_check_long_certificate_invalid_exit_1(capsys, tmp_path):
+    # one color on 1,500 points holds a 1,200-term progression
+    path = tmp_path / "long.txt"
+    write_witness(str(path), Coloring((0,) * 1500, 2), 1200, Family.semi(1))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "INVALID" in out

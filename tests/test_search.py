@@ -65,6 +65,18 @@ def test_exact_threshold_determinism():
     assert a == b
 
 
+def test_exact_threshold_node_counts_pinned():
+    # node counts are deterministic: they pin the search order, the
+    # symmetry reduction and the rejection test exactly
+    for r, k, fam, value, nodes in [
+        (2, 4, SEMI1, 35, 25_631),
+        (2, 5, SEMI2, 33, 38_971),
+        (2, 5, Family.quasi(1), 33, 75_353),
+    ]:
+        cert = exact_threshold(r, k, fam)
+        assert (cert.value, cert.nodes_explored) == (value, nodes)
+
+
 def test_exact_threshold_budget_exhaustion():
     with pytest.raises(BudgetExceededError) as err:
         exact_threshold(2, 3, SEMI1, SearchBudget(max_nodes=10))
@@ -119,6 +131,20 @@ def test_random_witness_determinism():
     a = random_witness_search(2, 8, 3, SEMI1, budget)
     b = random_witness_search(2, 8, 3, SEMI1, budget)
     assert a == b
+
+
+def test_random_witness_golden_digits():
+    # seeded trajectories are reproducible across versions; the r = 3 cases
+    # also pin the repair step's scoring of candidate colors
+    for r, N, k, fam, seed, digits in [
+        (2, 30, 6, Family.quasi(2), 0, "000111100001110001111100001110"),
+        (2, 30, 6, Family.quasi(2), 1, "111110000011100001111100011110"),
+        (3, 22, 3, SEMI1, 0, "2020122010010122110202"),
+        (3, 22, 3, SEMI1, 3, "0221101220100101221220"),
+    ]:
+        budget = SearchBudget(max_nodes=20_000, seed=seed)
+        chi = random_witness_search(r, N, k, fam, budget)
+        assert chi is not None and chi.digits() == digits
 
 
 def test_random_witness_absent_is_none():
