@@ -17,9 +17,9 @@ from .bounds import (
     beta_quasi,
     beta_table,
     comparison_bounds,
-    dominant_eigenvalue,
     lambda_max_by_charpoly,
     multinomial_count,
+    perron_bracket,
     quartic_root_check,
     quasi_counting_bound,
     semi_bound,
@@ -87,7 +87,6 @@ __all__ = [
     "comparison_bounds",
     "conjugate_vector",
     "count_mono_colorings",
-    "dominant_eigenvalue",
     "exact_threshold",
     "find_monochromatic",
     "forced_count_check",
@@ -96,6 +95,7 @@ __all__ = [
     "lambda_max_by_charpoly",
     "multinomial_count",
     "pair_multiplicity",
+    "perron_bracket",
     "primary_partition_check",
     "primary_progression",
     "quartic_root_check",

@@ -9,10 +9,10 @@ the Perron root of a positive (n+1) x (n+1) transfer matrix with entries
 alpha^min(i, n-j), alpha = 1 - 1/r.
 
 Rational quantities (matrix entries, weighted sums, counting bounds) are
-kept as exact Fractions; only eigenvalues and roots are floating point, with
-the achieved residual reported rather than assumed.  The eigenvalue comes
-two independent ways: float power iteration and exact-rational bisection on
-the characteristic polynomial.
+kept as exact Fractions.  The Perron root is enclosed in an exact rational
+Collatz-Wielandt bracket (``perron_bracket``), and threshold floors are
+decided from both ends of it; floats are only for display.  Exact-rational
+bisection on the characteristic polynomial is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import ConvergenceError
 from .progressions import Family, FrequencyVector, pair_multiplicity
 
 MAX_MATRIX_DIM = 64
+FLOAT_SOLVES = 64  # caps on perron_bracket's float solves and integer power steps
+MAX_POWER_STEPS = 4096
+THRESHOLD_DOUBLINGS = 8  # cap on BoundResult.threshold's precision doublings
 
 
 def alpha_semi(m: int) -> float:
@@ -167,71 +170,76 @@ def transfer_matrix(r: int, n: int) -> TransferMatrix:
     return TransferMatrix(r, n, entries)
 
 
-def dominant_eigenpair(
-    A: TransferMatrix, tol: float = 1e-12, max_iter: int = 100_000
-) -> Tuple[float, List[float], float]:
-    """Perron root, positive eigenvector, and achieved residual.
-
-    Power iteration from the all-ones vector with sup-norm normalization;
-    the eigenvalue estimate is the Rayleigh quotient.  Stops when
-    ||A v - lambda v||_inf <= tol * ||v||_inf.  The matrix is positive, so
-    the Perron root is simple and the iteration converges from this start.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    rows = [[float(x) for x in row] for row in A.entries]
-    dim = len(rows)
-    v = [1.0] * dim
-    best = math.inf
-    for _ in range(max_iter):
-        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
-        lam = sum(wi * vi for wi, vi in zip(w, v)) / sum(vi * vi for vi in v)
-        residual = max(abs(wi - lam * vi) for wi, vi in zip(w, v))
-        norm = max(abs(wi) for wi in w)
-        v = [wi / norm for wi in w]
-        if residual < best:
-            best = residual
-        if residual <= tol:  # ||v||_inf == 1 after normalization
-            return lam, v, residual
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
-        best_residual=best,
-    )
-
-
-def dominant_eigenvalue(A: TransferMatrix, tol: float = 1e-12) -> Tuple[float, float]:
-    """Perron root of A with the achieved residual (see dominant_eigenpair)."""
-    lam, _, residual = dominant_eigenpair(A, tol)
-    return lam, residual
-
-
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    dim = len(rows)
-    det = Fraction(1)
+def _solve_shifted(rows: Sequence[Sequence], shift, rhs: Sequence) -> Tuple:
+    """det(shift*I - rows) and the solution x of (shift*I - rows) x = rhs, by
+    Gaussian elimination with partial pivoting: exact on Fractions, rounded
+    on floats.  x is None when the matrix is singular."""
+    a = [
+        [(shift if i == j else 0) - e for j, e in enumerate(row)] + [b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    dim = len(a)
+    det = 1
     for col in range(dim):
-        pivot = next((i for i in range(col, dim) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+        piv = max(range(col, dim), key=lambda i: abs(a[i][col]))
+        if a[piv][col] == 0:
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, dim):
-            factor = rows[i][col] * inv
-            if factor == 0:
-                continue
-            for j in range(col, dim):
-                rows[i][j] -= factor * rows[col][j]
-    return det
+        pivot_row = a[col]
+        det *= pivot_row[col]
+        tail = pivot_row[col:]
+        for row in a[col + 1 :]:
+            factor = row[col] / pivot_row[col]
+            if factor:
+                row[col:] = [x - factor * p for x, p in zip(row[col:], tail)]
+    x = [0] * dim
+    for i in reversed(range(dim)):
+        x[i] = (a[i][dim] - sum(a[i][j] * x[j] for j in range(i + 1, dim))) / a[i][i]
+    return det, x
+
+
+def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fraction]:
+    """Exact Fractions lo <= lambda_max(A) <= hi with (hi - lo) * 2^bits <= lo.
+
+    lo and hi are min_i and max_i of (Av)_i / v_i, which bracket the Perron
+    root for any positive v (Collatz-Wielandt), taken exactly with A and v
+    scaled to integers: rounding in v can only widen the bracket.  v comes
+    from float inverse iteration shifted just above the root; integer power
+    steps narrow the bracket past float precision, up to MAX_POWER_STEPS.
+    """
+    rows = [[float(a) for a in row] for row in A.entries]
+    v, sigma = [sum(row) for row in rows], math.inf  # A times the all-ones vector
+    for _ in range(FLOAT_SOLVES):
+        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
+        upper = max(wi / vi for wi, vi in zip(w, v))
+        if upper >= sigma:  # no progress left at float precision
+            break
+        sigma = upper
+        _, x = _solve_shifted(rows, sigma, v)
+        if x is None or min(x) * max(x) <= 0:  # singular, or not of one sign
+            break
+        top = max(x, key=abs)
+        v = [xi / top for xi in x]
+    scale = math.lcm(*(a.denominator for row in A.entries for a in row))
+    ints = [[a.numerator * (scale // a.denominator) for a in row] for row in A.entries]
+    iv = [max(1, int(math.ldexp(x, 62))) for x in v]
+    for _ in range(MAX_POWER_STEPS + 1):
+        w = [sum(a * x for a, x in zip(row, iv)) for row in ints]
+        ratios = [Fraction(wi, scale * xi) for wi, xi in zip(w, iv)]
+        lo, hi = min(ratios), max(ratios)
+        if (hi - lo) * 2**bits <= lo:
+            return lo, hi
+        shift = min(w).bit_length() - bits - 16  # keep bits + 16 bits in the least entry
+        iv = [wi >> shift for wi in w] if shift > 0 else w
+    raise ConvergenceError(f"Perron bracket wider than 2^-{bits} after the step cap")
 
 
 def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
     """Perron root by exact-rational bisection on det(xI - A).
 
-    Independent of power iteration: the characteristic polynomial is
+    Independent of perron_bracket: the characteristic polynomial is
     positive for x above the spectral radius and negative just below the
     (simple) Perron root, so the first sign change scanning down from
     max-row-sum + 1 brackets it.  Intended for small matrices (cross-check
@@ -239,11 +247,7 @@ def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
     """
 
     def charpoly(x: Fraction) -> Fraction:
-        shifted = [
-            [(x if i == j else Fraction(0)) - A.entries[i][j] for j in range(A.dim)]
-            for i in range(A.dim)
-        ]
-        return _det(shifted)
+        return _solve_shifted(A.entries, x, [0] * A.dim)[0]
 
     hi = max(A.row_sums()) + 1
     step = Fraction(1, 4)
@@ -264,62 +268,80 @@ def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A computed lower-bound base together with its provenance.
-
-    ``base`` is alpha(m) for semi or sqrt(r / lambda_max) for quasi.  The
-    bound asserts that the Ramsey threshold exceeds base^k; ``threshold(k)``
-    gives floor(base^k).  ``useful`` records whether base > 1 (a base at or
-    below 1 bounds nothing).  For semi, ``base_squared`` holds the exact
-    rational base^2, letting threshold() avoid float floor errors.
+    """A lower-bound base: the Ramsey threshold exceeds base^k, where
+    base^2 = r / lambda and lambda lies in the exact enclosure [lambda_lo,
+    lambda_hi] (the Perron root of transfer_matrix(r, n) for quasi, the point
+    2 - 2^(1-m) for semi).  ``base`` and ``lambda_max`` are display floats.
+    ``useful`` (base > 1) is decided from the enclosure: lambda_hi < r.
     """
 
     family: Family
     r: int
     base: float
-    lambda_max: Optional[float]
-    residual: float
+    lambda_max: float
+    lambda_lo: Fraction
+    lambda_hi: Fraction
     useful: bool
-    base_squared: Optional[Fraction] = None
 
     def threshold(self, k: int) -> int:
+        """floor(base^k), exactly: the floors at both ends of the enclosure
+        agree, else the enclosure is narrowed until they do (ConvergenceError
+        if they still differ after THRESHOLD_DOUBLINGS of the precision)."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
-        if self.base_squared is not None:
-            p = self.base_squared.numerator**k
-            q = self.base_squared.denominator**k
-            # floor(sqrt(p/q)) = floor(sqrt(p*q)) // q for integer q >= 1
-            return math.isqrt(p * q) // q
-        return math.floor(self.base**k)
+        lo, hi = self.lambda_lo, self.lambda_hi
+        # enough bits to pin base^k to within about 2^-32
+        bits = max(48, math.ceil(k * math.log2(self.base))) + k.bit_length() + 32
+        for _ in range(THRESHOLD_DOUBLINGS):
+            floor_lo = _sqrt_power_floor(self.r / hi, k, bits + 16, up=False)
+            if floor_lo == _sqrt_power_floor(self.r / lo, k, bits + 16, up=True):
+                return floor_lo
+            if lo < hi:  # quasi: refine the Perron bracket
+                lo, hi = perron_bracket(transfer_matrix(self.r, self.family.param), bits)
+            bits *= 2
+        raise ConvergenceError(f"floor(base^{k}) undecided within the step cap")
+
+
+def _sqrt_power_floor(x: Fraction, k: int, prec: int, up: bool) -> int:
+    """A lower (``up`` False) or upper (``up`` True) bound on floor(sqrt(x^k)),
+    by fixed-point powers with ``prec`` fractional bits, all rounded that way."""
+
+    def rounded(p: int) -> int:  # p / 2^prec
+        return -(-p >> prec) if up else p >> prec
+
+    num = x.numerator << prec
+    power = -(-num // x.denominator) if up else num // x.denominator
+    acc = 1 << prec
+    while k:
+        if k & 1:
+            acc = rounded(acc * power)
+        k >>= 1
+        if k:
+            power = rounded(power * power)
+    return math.isqrt(acc >> prec)
 
 
 def semi_bound(m: int) -> BoundResult:
-    """The scope-m semi-progression bound base as a BoundResult (2 colors)."""
-    return BoundResult(
-        family=Family.semi(m),
-        r=2,
-        base=alpha_semi(m),
-        lambda_max=None,
-        residual=0.0,
-        useful=True,
-        base_squared=Fraction(2**m, 2**m - 1),
-    )
+    """The scope-m semi-progression bound base as a BoundResult (2 colors):
+    lambda = 2 - 2^(1-m), so base^2 = 2 / lambda = 2^m / (2^m - 1)."""
+    base = alpha_semi(m)
+    lam = 2 - Fraction(2, 2**m)
+    return BoundResult(Family.semi(m), 2, base, float(lam), lam, lam, useful=True)
 
 
-def beta_quasi(r: int, n: int, tol: float = 1e-12) -> BoundResult:
-    """The diameter-n, r-color quasi-progression bound base
-    beta = sqrt(r / lambda_max(transfer_matrix(r, n)))."""
+def beta_quasi(r: int, n: int) -> BoundResult:
+    """The diameter-n, r-color quasi-progression bound base beta = sqrt(r /
+    lambda_max(transfer_matrix(r, n))), with lambda_max bracketed to 48 bits
+    and further while r lies inside the bracket, so ``useful`` is certain."""
     if n < 1:
         raise ValueError("diameter must be at least 1 for the spectral bound")
-    lam, residual = dominant_eigenvalue(transfer_matrix(r, n), tol)
-    base = math.sqrt(r / lam)
-    return BoundResult(
-        family=Family.quasi(n),
-        r=r,
-        base=base,
-        lambda_max=lam,
-        residual=residual,
-        useful=base > 1,
-    )
+    A, bits = transfer_matrix(r, n), 48
+    lo, hi = perron_bracket(A, bits)
+    while lo < r <= hi:
+        bits *= 2
+        lo, hi = perron_bracket(A, bits)
+    lam = float((lo + hi) / 2)
+    return BoundResult(Family.quasi(n), r, math.sqrt(r / lam), lam, lo, hi, hi < r)
 
 
 def quartic_root_check() -> float:
@@ -403,12 +425,12 @@ def comparison_bounds(r: int, n: int, k: int, m: int) -> ComparisonBounds:
     return ComparisonBounds(r, n, k, m, naive, landman, semi_power, quasi_power)
 
 
-def beta_table(r_max: int, n_max: int, tol: float = 1e-12) -> List[BoundResult]:
+def beta_table(r_max: int, n_max: int) -> List[BoundResult]:
     """Quasi bound bases for every 2 <= r <= r_max, 1 <= n <= n_max."""
     if r_max < 2 or n_max < 1:
         raise ValueError("table needs r_max >= 2 and n_max >= 1")
     return [
-        beta_quasi(r, n, tol)
+        beta_quasi(r, n)
         for r in range(2, r_max + 1)
         for n in range(1, n_max + 1)
     ]

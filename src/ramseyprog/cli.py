@@ -10,10 +10,11 @@ One subcommand per computation:
     check FILE         re-verify a witness certificate file
 
 Exit codes: 0 success; 1 a checked inequality failed or a certificate is
-invalid; 2 usage or format error; 3 budget exhausted (including eigenvalue
-non-convergence and witness-not-found).  Output is text by default, CSV for
-the table, and JSON everywhere on request; with --format json, errors are
-also emitted as a JSON object on stdout.
+invalid; 2 usage or format error; 3 budget exhausted (including an
+eigenvalue bracket or a threshold undecided within the step cap, and
+witness-not-found).  Output is text by default, CSV for the table, and JSON
+everywhere on request; with --format json, errors are also emitted as a
+JSON object on stdout.
 
 Environment variables RAMSEYPROG_MAX_NODES, RAMSEYPROG_MAX_LENGTH,
 RAMSEYPROG_MAX_POINTS and RAMSEYPROG_MAX_COLORINGS override the default
@@ -26,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -58,6 +60,25 @@ def _truncate5(x: float) -> str:
 
 def _beta_cell(base: float) -> str:
     return "<1" if base <= 1 else _truncate5(base)
+
+
+def _quasi_fields(res) -> dict:
+    """A quasi bound's output fields.  lambda_lo and lambda_hi are its exact
+    enclosure rounded outward to floats, so the printed pair still encloses
+    lambda."""
+    lo, hi = float(res.lambda_lo), float(res.lambda_hi)
+    if lo > res.lambda_lo:
+        lo = math.nextafter(lo, -math.inf)
+    if hi < res.lambda_hi:
+        hi = math.nextafter(hi, math.inf)
+    return {
+        "alpha": 1 - 1 / res.r,
+        "lambda_max": res.lambda_max,
+        "lambda_lo": lo,
+        "lambda_hi": hi,
+        "beta": res.base,
+        "useful": res.useful,
+    }
 
 
 def _emit(fmt: str, payload, lines: List[str]) -> None:
@@ -113,78 +134,42 @@ def _oracle_budget(args) -> OracleBudget:
 
 def cmd_bound(args) -> int:
     if args.bound_kind == "semi":
-        res = semi_bound(args.m)
+        res, name = semi_bound(args.m), "alpha"
         payload = {"family": "semi", "param": args.m, "alpha": res.base}
         lines = [f"alpha({args.m}) = {res.base:.6f}"]
-        if args.k is not None:
-            t = res.threshold(args.k)
-            payload["k"] = args.k
-            payload["threshold"] = t
-            lines.append(f"floor(alpha^{args.k}) = {t}")
-        _emit(args.format, payload, lines)
-        return 0
-    res = beta_quasi(args.r, args.n, args.tol)
-    payload = {
-        "family": "quasi",
-        "param": args.n,
-        "r": args.r,
-        "alpha": 1 - 1 / args.r,
-        "lambda_max": res.lambda_max,
-        "residual": res.residual,
-        "beta": res.base,
-        "useful": res.useful,
-    }
-    lines = [
-        f"beta(r={args.r}, n={args.n}) = {_beta_cell(res.base)} (raw {res.base!r})",
-        f"lambda_max = {res.lambda_max!r}",
-        f"residual = {res.residual:.3e}",
-        f"useful = {str(res.useful).lower()}",
-    ]
+    else:
+        res, name = beta_quasi(args.r, args.n), "beta"
+        payload = {"family": "quasi", "param": args.n, "r": args.r, **_quasi_fields(res)}
+        lines = [
+            f"beta(r={args.r}, n={args.n}) = {_beta_cell(res.base)} (raw {res.base!r})",
+            f"lambda_max = {res.lambda_max!r}",
+            f"lambda in [{payload['lambda_lo']!r}, {payload['lambda_hi']!r}]",
+            f"useful = {str(res.useful).lower()}",
+        ]
     if args.k is not None:
         t = res.threshold(args.k)
         payload["k"] = args.k
         payload["threshold"] = t
-        lines.append(f"floor(beta^{args.k}) = {t}")
+        lines.append(f"floor({name}^{args.k}) = {t}")
     _emit(args.format, payload, lines)
     return 0
 
 
 def cmd_table(args) -> int:
-    results = beta_table(args.r_max, args.n_max, args.tol)
+    results = beta_table(args.r_max, args.n_max)
+    records = [
+        {"r": res.r, "n": res.family.param, **_quasi_fields(res)} for res in results
+    ]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "r": res.r,
-                        "n": res.family.param,
-                        "alpha": 1 - 1 / res.r,
-                        "lambda_max": res.lambda_max,
-                        "residual": res.residual,
-                        "beta": res.base,
-                        "useful": res.useful,
-                    }
-                    for res in results
-                ]
-            )
-        )
+        print(json.dumps(records))
         return 0
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["r", "n", "alpha", "lambda_max", "residual", "beta", "useful"])
-        for res in results:
-            writer.writerow(
-                [
-                    res.r,
-                    res.family.param,
-                    repr(1 - 1 / res.r),
-                    repr(res.lambda_max),
-                    f"{res.residual:.3e}",
-                    _beta_cell(res.base),
-                    str(res.useful).lower(),
-                ]
-            )
+        writer.writerow(records[0].keys())
+        for rec in records:
+            rec.update(beta=_beta_cell(rec["beta"]), useful=str(rec["useful"]).lower())
+            writer.writerow(rec.values())
         sys.stdout.write(buf.getvalue())
         return 0
     by_cell = {(res.r, res.family.param): res for res in results}
@@ -423,15 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     bound_quasi.add_argument("--r", type=int, required=True, help="colors")
     bound_quasi.add_argument("--n", type=int, required=True, help="diameter")
     bound_quasi.add_argument("--k", type=int, default=None, help="term count")
-    bound_quasi.add_argument("--tol", type=float, default=1e-12,
-                             help="eigenvalue residual tolerance")
     _add_format(bound_quasi)
     bound_quasi.set_defaults(handler=cmd_bound, bound_kind="quasi")
 
     table = sub.add_parser("table", help="beta over a grid of (r, n)")
     table.add_argument("--r-max", type=int, default=4)
     table.add_argument("--n-max", type=int, default=6)
-    table.add_argument("--tol", type=float, default=1e-12)
     _add_format(table, default="csv")
     table.set_defaults(handler=cmd_table)
 
@@ -501,9 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return args.handler(args)
-    except BudgetExceededError as exc:
-        return fail(exc, 3)
-    except ConvergenceError as exc:
+    except (BudgetExceededError, ConvergenceError) as exc:
         return fail(exc, 3)
     except WitnessFormatError as exc:
         return fail(exc, 2)

@@ -15,11 +15,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach the requested tolerance."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """An exact enclosure (a Perron bracket, or the two ends of a threshold
+    floor) could not be narrowed enough within its step cap."""
 
 
 class WitnessFormatError(ValueError):

@@ -8,6 +8,7 @@ run at sizes where full enumeration is instant.
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 
 def allowed_gaps(kind, param, d):
@@ -83,3 +84,20 @@ def weighted_sums(t, r, n):
     for entries in product(range(n + 1), repeat=t):
         sums[entries[0]] += alpha ** weight_of(entries, "quasi", n)
     return sums
+
+
+def floor_beta_n1_power(r, k):
+    """Exact floor(beta(r, 1)^k) from the closed form at diameter 1.
+
+    The 2x2 transfer matrix has Perron root 1 + sqrt(alpha), alpha = 1 - 1/r,
+    so beta^2 = r / (1 + sqrt(alpha)) = r^2 - r*sqrt(D) with D = r(r-1).
+    (beta^2)^k = a + b*sqrt(D) is computed in integer Z[sqrt(D)] arithmetic;
+    D lies strictly between (r-1)^2 and r^2, so sqrt(D) is irrational and
+    floor(b*sqrt(D)) is exact from isqrt.  floor(beta^k) = isqrt(floor(beta^2k)).
+    """
+    D = r * (r - 1)
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = a * r * r - b * r * D, b * r * r - a * r
+    floor_b = isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D) - 1
+    return isqrt(a + floor_b)

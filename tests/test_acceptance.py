@@ -18,7 +18,7 @@ from fractions import Fraction
 from ramseyprog.bounds import (
     beta_quasi,
     beta_table,
-    dominant_eigenvalue,
+    perron_bracket,
     semi_bound,
     semi_counting_bound,
     transfer_matrix,
@@ -84,8 +84,8 @@ def test_acceptance_1_table_reproduction():
 
 
 def test_acceptance_2_closed_form_eigenvalue():
-    lam, _ = dominant_eigenvalue(transfer_matrix(2, 1))
-    ok = abs(lam - (1 + 1 / math.sqrt(2))) <= 1e-10
+    lo, hi = perron_bracket(transfer_matrix(2, 1))
+    ok = all(abs(end - (1 + 1 / math.sqrt(2))) <= 1e-10 for end in (lo, hi))
 
     # independent quartic oracle: bisect y^4 - 8y^2 + 8 on [1, 1.2]
     def quartic(y):

@@ -1,19 +1,20 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from ramseyprog import bounds
 from ramseyprog.bounds import (
     alpha_semi,
     beta_quasi,
     beta_table,
     comparison_bounds,
-    dominant_eigenpair,
-    dominant_eigenvalue,
     frequency_vectors,
     lambda_max_by_charpoly,
     multinomial_count,
+    perron_bracket,
     quartic_root_check,
     quasi_counting_bound,
     semi_bound,
@@ -24,7 +25,7 @@ from ramseyprog.bounds import (
 from ramseyprog.errors import ConvergenceError
 from ramseyprog.progressions import Family, pair_multiplicity
 
-from brute import weighted_sums
+from brute import floor_beta_n1_power, weighted_sums
 
 
 def test_alpha_semi_values():
@@ -129,40 +130,42 @@ def test_transfer_matrix_validation():
 
 
 def test_dominant_eigenvalue_closed_form():
-    lam, residual = dominant_eigenvalue(transfer_matrix(2, 1))
-    assert abs(lam - (1 + 1 / math.sqrt(2))) < 1e-10
-    assert residual <= 1e-12
-    lam, _ = dominant_eigenvalue(transfer_matrix(2, 0))
-    assert lam == pytest.approx(1.0, abs=1e-12)
-    lam, _ = dominant_eigenvalue(transfer_matrix(3, 2))
-    assert lam == pytest.approx(2.425005, abs=1e-4)
+    # lambda(2, 1) = 1 + 1/sqrt(2) exactly: (lambda - 1)^2 = 1/2
+    lo, hi = perron_bracket(transfer_matrix(2, 1))
+    assert (lo - 1) ** 2 <= Fraction(1, 2) <= (hi - 1) ** 2
+    assert (hi - lo) * 2**48 <= lo
+    assert perron_bracket(transfer_matrix(2, 0)) == (1, 1)
+    lo, hi = perron_bracket(transfer_matrix(3, 2))
+    assert 2.425005 - 1e-4 <= lo <= hi <= 2.425005 + 1e-4
 
 
 def test_dominant_eigenvalue_sandwich_and_positivity():
     for r in (2, 3, 4, 6):
         for n in (1, 2, 3, 5):
             A = transfer_matrix(r, n)
-            lam, vec, _ = dominant_eigenpair(A)
-            sums = [float(s) for s in A.row_sums()]
-            assert min(sums) - 1e-9 <= lam <= max(sums) + 1e-9
-            assert all(x > 0 for x in vec)
+            sums = A.row_sums()
+            for bits in (48, 120):
+                lo, hi = perron_bracket(A, bits)
+                assert 0 < min(sums) <= lo <= hi <= max(sums)
+                assert (hi - lo) * 2**bits <= lo
 
 
-def test_dominant_eigenvalue_convergence_error():
+def test_dominant_eigenvalue_convergence_error(monkeypatch):
     A = transfer_matrix(3, 2)
-    with pytest.raises(ConvergenceError) as err:
-        dominant_eigenpair(A, tol=1e-30, max_iter=5)
-    assert err.value.best_residual is not None
-    assert err.value.best_residual > 0
+    lo, hi = perron_bracket(A, bits=200)
+    assert (hi - lo) * 2**200 <= lo
+    monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 0)
+    with pytest.raises(ConvergenceError):
+        perron_bracket(A, bits=200)
 
 
 def test_charpoly_cross_check():
     for r in (2, 3, 4):
         for n in (1, 2, 3):
             A = transfer_matrix(r, n)
-            power, _ = dominant_eigenvalue(A)
+            lo, hi = perron_bracket(A)
             bisected = lambda_max_by_charpoly(A)
-            assert abs(power - bisected) < 1e-9
+            assert lo - 1e-11 <= bisected <= hi + 1e-11
 
 
 def test_beta_quasi_values():
@@ -245,7 +248,7 @@ def test_comparison_bounds():
 
 def test_semi_bound_threshold_is_exact():
     res = semi_bound(2)
-    assert res.base_squared == Fraction(4, 3)
+    assert res.lambda_lo == res.lambda_hi == Fraction(3, 2)
     assert res.threshold(25) == 36
     assert res.useful
     assert semi_bound(1).threshold(2) == 2
@@ -308,3 +311,26 @@ def test_beta_monotone_where_useful():
         prev_r = cells.get((r - 1, n))
         if prev_r is not None and prev_r.useful:
             assert prev_r.base < res.base
+
+
+def test_quasi_threshold_exact_at_diameter_1():
+    # a float floor of base**k is too low for (2, 1) from k = 290 on, and
+    # base**k overflows a float for (10, 1) at k = 2000
+    ks = [0, 1, 2, 7, 50, 150, 289, 290, 300, 401, 777, 1234, 1999, 2000]
+    for r in (2, 3, 4, 10):
+        res = beta_quasi(r, 1)
+        for k in ks:
+            assert res.threshold(k) == floor_beta_n1_power(r, k), (r, k)
+    start = time.perf_counter()
+    beta_quasi(10, 1).threshold(2000)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_beta_quasi_near_degenerate():
+    # the two largest eigenvalues of (2, 63) differ by about 4e-8
+    start = time.perf_counter()
+    res = beta_quasi(2, 63)
+    assert time.perf_counter() - start < 3
+    assert res.useful is False
+    assert res.lambda_lo > 2
+    assert res.lambda_lo <= res.lambda_max <= res.lambda_hi

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ramseyprog import cli
+from ramseyprog import bounds, cli
 from ramseyprog.cli import main
 from ramseyprog.progressions import Coloring, Family
 from ramseyprog.oracle import OracleBudget
@@ -46,7 +46,9 @@ def test_table_json_full_precision(capsys):
     assert rec["beta"] == pytest.approx(1.0823922, abs=1e-6)
     assert rec["alpha"] == 0.5
     assert rec["useful"] is True
-    assert rec["residual"] <= 1e-12
+    for cell in records:
+        assert cell["lambda_lo"] <= cell["lambda_max"] <= cell["lambda_hi"]
+        assert cell["lambda_hi"] - cell["lambda_lo"] <= 1e-12
 
 
 def test_table_text_grid(capsys):
@@ -79,16 +81,32 @@ def test_bound_quasi(capsys):
     assert payload["beta"] < 1
 
 
-def test_bound_quasi_nonconvergence_exits_3(capsys):
+def test_bound_quasi_threshold_exact(capsys):
+    # a float floor of base**k is one too low here
+    code, out, _ = run(capsys, "bound", "quasi", "--r", "2", "--n", "1",
+                       "--k", "300")
+    assert code == 0
+    assert "floor(beta^300) = 20672653421" in out
+    # and base**k overflows a float here
+    code, out, _ = run(capsys, "bound", "quasi", "--r", "10", "--n", "1",
+                       "--k", "2000", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda_lo"] <= payload["lambda_max"] <= payload["lambda_hi"]
+
+
+def test_bound_quasi_nonconvergence_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 0)
     code, out, err = run(capsys, "bound", "quasi", "--r", "2", "--n", "1",
-                         "--tol", "1e-30")
+                         "--k", "2000")
     assert code == 3
     assert "error" in err
 
 
-def test_bound_quasi_nonconvergence_json_error(capsys):
+def test_bound_quasi_nonconvergence_json_error(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 0)
     code, out, _ = run(capsys, "bound", "quasi", "--r", "2", "--n", "1",
-                       "--tol", "1e-30", "--format", "json")
+                       "--k", "2000", "--format", "json")
     assert code == 3
     payload = json.loads(out)
     assert payload["type"] == "ConvergenceError"
