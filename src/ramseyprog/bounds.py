@@ -12,7 +12,8 @@ Rational quantities (matrix entries, weighted sums, counting bounds) are
 kept as exact Fractions.  The Perron root is enclosed in an exact rational
 Collatz-Wielandt bracket (``perron_bracket``), and threshold floors are
 decided from both ends of it; floats are only for display.  Exact-rational
-bisection on the characteristic polynomial is an independent cross-check.
+bisection on the Sturm sequence of the characteristic polynomial is an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -170,34 +171,29 @@ def transfer_matrix(r: int, n: int) -> TransferMatrix:
     return TransferMatrix(r, n, entries)
 
 
-def _solve_shifted(rows: Sequence[Sequence], shift, rhs: Sequence) -> Tuple:
-    """det(shift*I - rows) and the solution x of (shift*I - rows) x = rhs, by
-    Gaussian elimination with partial pivoting: exact on Fractions, rounded
-    on floats.  x is None when the matrix is singular."""
+def _solve_shifted(rows: Sequence[Sequence[float]], shift: float, rhs: Sequence[float]):
+    """The solution x of (shift*I - rows) x = rhs by Gaussian elimination with
+    partial pivoting, or None when the matrix is singular."""
     a = [
         [(shift if i == j else 0) - e for j, e in enumerate(row)] + [b]
         for i, (row, b) in enumerate(zip(rows, rhs))
     ]
     dim = len(a)
-    det = 1
     for col in range(dim):
         piv = max(range(col, dim), key=lambda i: abs(a[i][col]))
         if a[piv][col] == 0:
-            return 0, None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
+            return None
+        a[col], a[piv] = a[piv], a[col]
         pivot_row = a[col]
-        det *= pivot_row[col]
         tail = pivot_row[col:]
         for row in a[col + 1 :]:
             factor = row[col] / pivot_row[col]
             if factor:
                 row[col:] = [x - factor * p for x, p in zip(row[col:], tail)]
-    x = [0] * dim
+    x = [0.0] * dim
     for i in reversed(range(dim)):
         x[i] = (a[i][dim] - sum(a[i][j] * x[j] for j in range(i + 1, dim))) / a[i][i]
-    return det, x
+    return x
 
 
 def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fraction]:
@@ -217,7 +213,7 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
         if upper >= sigma:  # no progress left at float precision
             break
         sigma = upper
-        _, x = _solve_shifted(rows, sigma, v)
+        x = _solve_shifted(rows, sigma, v)
         if x is None or min(x) * max(x) <= 0:  # singular, or not of one sign
             break
         top = max(x, key=abs)
@@ -236,33 +232,68 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
     raise ConvergenceError(f"Perron bracket wider than 2^-{bits} after the step cap")
 
 
+def _charpoly(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """det(xI - A)'s coefficients, highest degree first, exactly, by
+    Faddeev-LeVerrier: M_j = A M_(j-1) + c_(j-1) I and c_j = -tr(A M_j) / j."""
+    n = len(rows)
+    coeffs, M = [Fraction(1)], [[0] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        M = [[sum(a * m for a, m in zip(row, col)) for col in zip(*M)] for row in rows]
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        trace = sum(a * m for row, col in zip(rows, zip(*M)) for a, m in zip(row, col))
+        coeffs.append(-trace / j)
+    return coeffs
+
+
+def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List, List]:
+    """Quotient and remainder of a / b, coefficients highest degree first."""
+    quot = []
+    while len(a) >= len(b):
+        quot.append(a[0] / b[0])
+        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and not a[0]:
+        a = a[1:]
+    return quot, a
+
+
 def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
     """Perron root by exact-rational bisection on det(xI - A).
 
-    Independent of perron_bracket: the characteristic polynomial is
-    positive for x above the spectral radius and negative just below the
-    (simple) Perron root, so the first sign change scanning down from
-    max-row-sum + 1 brackets it.  Intended for small matrices (cross-check
+    Independent of perron_bracket: the Sturm sequence of the exact
+    characteristic polynomial counts its distinct real roots above any x,
+    and bisection from outside the Gershgorin discs keeps exactly one root,
+    the largest, above ``lo``.  Intended for small matrices (cross-check
     path); cost grows quickly with dimension.
     """
+    p = _charpoly(A.entries)
+    seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(seq[-1]) > 1 and (rem := _poly_divmod(seq[-2], seq[-1])[1]):
+        seq.append([-c for c in rem])
+    if len(seq[-1]) > 1:  # repeated roots: divide out gcd(p, p') to keep counts exact
+        seq = [_poly_divmod(q, seq[-1])[0] for q in seq]
+    at_infinity = sum((s[0] > 0) != (t[0] > 0) for s, t in zip(seq, seq[1:]))
 
-    def charpoly(x: Fraction) -> Fraction:
-        return _solve_shifted(A.entries, x, [0] * A.dim)[0]
+    def roots_above(x: Fraction) -> int:
+        signs = []
+        for q in seq:
+            value = Fraction(0)
+            for c in q:
+                value = value * x + c
+            if value:
+                signs.append(value > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:])) - at_infinity
 
-    hi = max(A.row_sums()) + 1
-    step = Fraction(1, 4)
-    lo = hi - step
-    while charpoly(lo) > 0:
-        hi = lo
-        lo -= step
-        if lo < 0:
-            raise ArithmeticError("no sign change above zero; matrix not positive?")
+    hi = max(sum(abs(a) for a in row) for row in A.entries) + 1
+    lo = -hi
+    if not roots_above(lo):
+        raise ArithmeticError("characteristic polynomial has no real root")
     while float(hi - lo) > tol:
         mid = (lo + hi) / 2
-        if charpoly(mid) > 0:
-            hi = mid
-        else:
+        if roots_above(mid):
             lo = mid
+        else:
+            hi = mid
     return float((lo + hi) / 2)
 
 
@@ -414,14 +445,23 @@ class ComparisonBounds:
     quasi_power: float
 
 
+def _float_power(base: float, k: int) -> float:
+    """base^k, or math.inf where it exceeds the float range."""
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
+
+
 def comparison_bounds(r: int, n: int, k: int, m: int) -> ComparisonBounds:
-    """Evaluate the competing lower-bound formulas at one (r, n, k, m)."""
+    """Evaluate the competing lower-bound formulas at one (r, n, k, m).
+    A power beyond the float range comes back as math.inf."""
     if min(r, k, m) < 1 or n < 1:
         raise ValueError("parameters must be positive")
-    naive = math.sqrt(r / (n + 1)) ** k
+    naive = _float_power(math.sqrt(r / (n + 1)), k)
     landman = 2 * k * k / m
-    semi_power = alpha_semi(m) ** k
-    quasi_power = beta_quasi(r, n).base ** k
+    semi_power = _float_power(alpha_semi(m), k)
+    quasi_power = _float_power(beta_quasi(r, n).base, k)
     return ComparisonBounds(r, n, k, m, naive, landman, semi_power, quasi_power)
 
 

@@ -1,12 +1,15 @@
 """Exhaustive ground truth at small N.
 
-Everything here enumerates all r^N colorings of [1, N] (within an explicit
-budget) and measures exactly: how many colorings contain a monochromatic
-k-term progression, whether the analytic counting bounds really dominate
-those counts, and whether the primary-progression partition argument holds
-coloring by coloring.  This is the module the analytic side is checked
-against, so it stays deliberately dumb: no symmetry tricks, no sampling,
-exact integers or refusal.
+Everything here accounts for every one of the r^N colorings of [1, N]
+(within an explicit budget) and measures exactly: how many colorings
+contain a monochromatic k-term progression, whether the analytic counting
+bounds really dominate those counts, and whether the primary-progression
+partition argument holds coloring by coloring.  The count walks colored
+prefixes and settles a whole subtree at once when its prefix already holds
+a monochromatic progression; the partition checks visit every coloring.
+This is the module the analytic side is checked against, so it stays
+deliberately dumb: no symmetry tricks, no sampling, exact integers or
+refusal.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .bounds import quasi_counting_bound, semi_counting_bound
 from .errors import BudgetExceededError
@@ -69,7 +72,7 @@ def all_progressions(N: int, k: int, family: Family) -> Tuple[Tuple[int, ...], .
 
     Ordered by (first term, low-difference, conjugate vector) ascending, so
     a linear scan respects the primary tie-break.  Coloring-independent and
-    cached: the oracle sweeps reuse one list across all r^N colorings.
+    cached, so repeated counts at one (N, k, family) build it once.
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
@@ -86,16 +89,11 @@ def progression_masks(N: int, k: int, family: Family) -> Tuple[int, ...]:
     """The progressions of all_progressions as point bitmasks (bit i = point
     i+1), deduplicated: distinct low-differences can yield the same terms,
     and monochromaticity only sees the point set."""
-    masks = []
-    seen = set()
-    for terms in all_progressions(N, k, family):
-        m = 0
-        for t in terms:
-            m |= 1 << (t - 1)
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
-    return tuple(masks)
+    return tuple(
+        dict.fromkeys(
+            sum(1 << (t - 1) for t in terms) for terms in all_progressions(N, k, family)
+        )
+    )
 
 
 def progressions_from(
@@ -114,51 +112,42 @@ def progressions_from(
     return tuple(chains_from((0,) * N, a, d, k, family))
 
 
-def _mono_exists_bits(x: int, masks: Tuple[int, ...]) -> bool:
-    for m in masks:
-        b = x & m
-        if b == 0 or b == m:
-            return True
-    return False
-
-
-def _mono_exists_general(colors: Tuple[int, ...], termlists: List[Tuple[int, ...]]) -> bool:
-    for terms in termlists:
-        c = colors[terms[0]]
-        for t in terms[1:]:
-            if colors[t] != c:
-                break
-        else:
-            return True
-    return False
-
-
 def count_mono_colorings(
     r: int, N: int, k: int, family: Family, budget: OracleBudget = OracleBudget()
 ) -> CountReport:
     """Exactly count the r-colorings of [1, N] containing at least one
     monochromatic k-term progression of the family.
 
-    Full enumeration with early-exit detection against the cached
-    progression list.  Two colors sweep an integer counter with bitmask
-    tests; more colors fall back to tuple scanning.
+    One walk over the tree of colored prefixes, for every r, with an explicit
+    stack.  The prefix keeps each color's points as a bitmask (color c at
+    bits c*N .. c*N + N - 1 of one int), and coloring bit p (the point p + 1)
+    tests only the progressions whose last point it is.  The first prefix to
+    hold a monochromatic progression adds all r^(N-p-1) colorings of the
+    points after it to the count and is not descended; past the last point
+    that ends a progression nothing can change.  So every coloring is counted
+    once, under its least monochromatic prefix, or not at all.
     """
     budget.check(r, N)
-    count = 0
-    if r == 2:
-        masks = progression_masks(N, k, family)
-        for x in range(1 << N):
-            if _mono_exists_bits(x, masks):
-                count += 1
-    else:
-        termlists = list(
-            dict.fromkeys(
-                tuple(t - 1 for t in p) for p in all_progressions(N, k, family)
-            )
-        )
-        for colors in product(range(r), repeat=N):
-            if _mono_exists_general(colors, termlists):
-                count += 1
+    masks = progression_masks(N, k, family)
+    horizon = max((m.bit_length() for m in masks), default=0) - 1
+    # per bit p: the other points of each progression whose last point is p;
+    # then per color c, shifted to c's bits: p's bit and those points
+    before = [[m ^ (1 << p) for m in masks if m >> p == 1] for p in range(horizon + 1)]
+    steps = [
+        [(1 << (c * N + p), [m << (c * N) for m in rests]) for c in range(r)]
+        for p, rests in enumerate(before)
+    ]
+    count, stack = 0, [(0, 0)] if masks else []  # (next bit, packed prefix)
+    while stack:
+        p, prefix = stack.pop()
+        for bit, rests in steps[p]:
+            for rest in rests:
+                if prefix & rest == rest:
+                    count += r ** (N - p - 1)
+                    break
+            else:
+                if p < horizon:
+                    stack.append((p + 1, prefix | bit))
     return CountReport(N, k, family, r, count, r**N)
 
 

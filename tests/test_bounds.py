@@ -7,6 +7,7 @@ import pytest
 
 from ramseyprog import bounds
 from ramseyprog.bounds import (
+    TransferMatrix,
     alpha_semi,
     beta_quasi,
     beta_table,
@@ -168,6 +169,34 @@ def test_charpoly_cross_check():
             assert lo - 1e-11 <= bisected <= hi + 1e-11
 
 
+
+def _near_diagonal(diagonal):
+    """A positive matrix whose eigenvalues all lie within 1/4 of the largest."""
+    dim = len(diagonal)
+    entries = [
+        [Fraction(diagonal[i]) if i == j else Fraction(1, 1000) for j in range(dim)]
+        for i in range(dim)
+    ]
+    return TransferMatrix(2, dim - 1, entries)
+
+
+def test_charpoly_brackets_the_largest_root():
+    # three or four real roots within 1/4 below the Perron root: a downward
+    # scan in 1/4 steps stops at the wrong sign change, or at none
+    for diagonal, expected in (
+        ((3, Fraction(59, 20), Fraction(29, 10)), 3.0000303905212),
+        ((3, Fraction(59, 20), Fraction(29, 10), Fraction(57, 20)), 3.0000374645489),
+    ):
+        A = _near_diagonal(diagonal)
+        lam = lambda_max_by_charpoly(A)
+        lo, hi = perron_bracket(A, bits=60)
+        assert lo - 1e-11 <= lam <= hi + 1e-11
+        assert lam == pytest.approx(expected, abs=1e-12)
+    # repeated roots (0 twice) at the first bisection midpoint
+    ones = TransferMatrix(2, 2, [[Fraction(1)] * 3] * 3)
+    assert lambda_max_by_charpoly(ones) == pytest.approx(3.0, abs=1e-11)
+
+
 def test_beta_quasi_values():
     assert beta_quasi(2, 1).base == pytest.approx(1.08239, abs=1e-5)
     assert beta_quasi(4, 1).base == pytest.approx(1.46410, abs=1e-5)
@@ -244,6 +273,15 @@ def test_comparison_bounds():
     assert flat.naive_quasi == pytest.approx(1.0)
     with pytest.raises(ValueError):
         comparison_bounds(0, 1, 3, 1)
+
+
+
+def test_comparison_bounds_overflow_to_inf():
+    cb = comparison_bounds(10, 1, 2000, 1)
+    assert cb.naive_quasi == math.inf and cb.quasi_power == math.inf
+    assert cb.semi_power == pytest.approx(2.0**1000)  # alpha(1)^2000 still fits
+    assert cb.landman_semi == 8_000_000
+    assert comparison_bounds(10, 1, 200_000, 1).semi_power == math.inf
 
 
 def test_semi_bound_threshold_is_exact():

@@ -74,6 +74,47 @@ def test_count_matches_brute_force():
         assert rep.total == r**N
 
 
+
+FAMILIES = (SEMI1, SEMI2, Family.quasi(0), Family.quasi(1))
+
+
+def test_count_matches_brute_force_every_r_and_k():
+    # every N from 1, so each k meets sizes where no progression fits
+    # (count 0) and sizes where the first ones do (horizon at N)
+    zeros = 0
+    for r, sizes in ((2, range(1, 9)), (3, range(1, 7)), (4, range(1, 6))):
+        for k in (2, 3, 4):
+            for fam in FAMILIES:
+                for N in sizes:
+                    expected = mono_count(r, N, k, fam.kind, fam.param)
+                    assert count_mono_colorings(r, N, k, fam).mono_count == expected
+                    zeros += expected == 0
+    assert zeros > 0
+
+
+def test_count_horizon_is_N_whenever_a_progression_fits():
+    # the translate of a progression that ends at N lies in [1, N] too, so
+    # the walk's horizon (the last point ending a progression) is N
+    for fam in FAMILIES:
+        for N, k in ((7, 3), (12, 4), (9, 9), (5, 6)):
+            masks = progression_masks(N, k, fam)
+            assert max((m.bit_length() for m in masks), default=N) == N
+
+
+def test_count_pinned():
+    # recorded by full enumeration of every coloring
+    for (r, N, k, fam), expected in (
+        ((2, 20, 4, SEMI1), 1_047_134),
+        ((3, 12, 3, SEMI1), 511_839),
+        ((2, 16, 5, SEMI2), 63_672),
+        ((3, 11, 3, Family.quasi(1)), 176_643),
+        ((2, 20, 10, SEMI1), 15_932),
+        ((3, 12, 6, SEMI1), 14_811),
+    ):
+        rep = count_mono_colorings(r, N, k, fam)
+        assert (rep.mono_count, rep.total) == (expected, r**N)
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         count_mono_colorings(2, 5, 3, SEMI1, OracleBudget(max_points=4))
