@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -82,15 +81,15 @@ def _quasi_fields(res) -> dict:
 
 
 def _emit(fmt: str, payload, lines: List[str]) -> None:
-    """Render one record: text lines, a JSON object, or a one-row CSV."""
+    """Render a record or a list of records: text lines, JSON, or CSV with
+    one header row and then one row per record."""
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(payload.keys())
-        writer.writerow(payload.values())
-        sys.stdout.write(buf.getvalue())
+        records = payload if isinstance(payload, list) else [payload]
+        writer = csv.writer(sys.stdout)
+        writer.writerow(records[0].keys())
+        writer.writerows(rec.values() for rec in records)
     else:
         for line in lines:
             print(line)
@@ -160,18 +159,9 @@ def cmd_table(args) -> int:
     records = [
         {"r": res.r, "n": res.family.param, **_quasi_fields(res)} for res in results
     ]
-    if args.format == "json":
-        print(json.dumps(records))
-        return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(records[0].keys())
         for rec in records:
             rec.update(beta=_beta_cell(rec["beta"]), useful=str(rec["useful"]).lower())
-            writer.writerow(rec.values())
-        sys.stdout.write(buf.getvalue())
-        return 0
     by_cell = {(res.r, res.family.param): res for res in results}
     header = ["r\\n"] + [f"n={n}" for n in range(1, args.n_max + 1)]
     rows = [header]
@@ -181,8 +171,8 @@ def cmd_table(args) -> int:
             + [_beta_cell(by_cell[(r, n)].base) for n in range(1, args.n_max + 1)]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    _emit(args.format, records, lines)
     return 0
 
 
@@ -272,68 +262,51 @@ def cmd_search(args) -> int:
         try:
             cert = exact_threshold(args.r, args.k, family, budget)
         except BudgetExceededError as exc:
-            if exc.partial is not None:
-                _emit(
-                    args.format,
-                    dict(_cert_payload(exc.partial), error=str(exc)),
-                    [
-                        f"budget exhausted: {exc}",
-                        f"best lower bound: value >= {exc.partial.value}",
-                        f"witness (length {exc.partial.witness.n_points}) = "
-                        f"{exc.partial.witness.digits()}",
-                    ],
-                )
-                if args.witness_out:
-                    write_witness(
-                        args.witness_out, exc.partial.witness, args.k, family
-                    )
-                return 3
-            raise
-        _emit(
-            args.format,
-            _cert_payload(cert),
-            [
+            if exc.partial is None:
+                raise
+            cert, code = exc.partial, 3
+            payload = dict(_cert_payload(cert), error=str(exc))
+            lines = [
+                f"budget exhausted: {exc}",
+                f"best lower bound: value >= {cert.value}",
+                f"witness (length {cert.witness.n_points}) = {cert.witness.digits()}",
+            ]
+        else:
+            code, payload = 0, _cert_payload(cert)
+            lines = [
                 f"value = {cert.value}",
                 f"witness (length {cert.witness.n_points}) = {cert.witness.digits()}",
                 f"nodes explored = {cert.nodes_explored}",
                 f"exhaustive = {str(cert.exhaustive).lower()}",
-            ],
-        )
-        if args.witness_out:
-            write_witness(args.witness_out, cert.witness, args.k, family)
-        return 0
-    chi = random_witness_search(args.r, args.N, args.k, family, budget)
-    if chi is None:
-        _emit(
-            args.format,
-            {"found": False, "N": args.N, "k": args.k, "error": "no witness found"},
-            [f"no witness found for N={args.N} within budget"],
-        )
-        return 3
-    if not check_witness(chi, args.k, family):
-        _emit(
-            args.format,
-            {"found": True, "valid": False},
-            ["search returned a coloring that fails re-verification"],
-        )
-        return 1
-    _emit(
-        args.format,
-        {
-            "found": True,
-            "valid": True,
-            "N": chi.n_points,
-            "k": args.k,
-            "family": family.kind,
-            "param": family.param,
-            "r": args.r,
-            "witness": chi.digits(),
-        },
-        [f"witness (length {chi.n_points}) = {chi.digits()}"],
-    )
-    if args.witness_out:
-        write_witness(args.witness_out, chi, args.k, family)
-    return 0
+            ]
+        witness = cert.witness
+    else:
+        witness = random_witness_search(args.r, args.N, args.k, family, budget)
+        if witness is None:
+            code = 3
+            payload = dict(found=False, N=args.N, k=args.k, error="no witness found")
+            lines = [f"no witness found for N={args.N} within budget"]
+        elif not check_witness(witness, args.k, family):
+            code, witness = 1, None
+            payload = {"found": True, "valid": False}
+            lines = ["search returned a coloring that fails re-verification"]
+        else:
+            code = 0
+            payload = {
+                "found": True,
+                "valid": True,
+                "N": witness.n_points,
+                "k": args.k,
+                "family": family.kind,
+                "param": family.param,
+                "r": args.r,
+                "witness": witness.digits(),
+            }
+            lines = [f"witness (length {witness.n_points}) = {witness.digits()}"]
+    _emit(args.format, payload, lines)
+    if args.witness_out and witness is not None:
+        write_witness(args.witness_out, witness, args.k, family)
+    return code
 
 
 def cmd_check(args) -> int:

@@ -2,11 +2,14 @@
 
 Everything here accounts for every one of the r^N colorings of [1, N]
 (within an explicit budget) and measures exactly: how many colorings
-contain a monochromatic k-term progression, whether the analytic counting
-bounds really dominate those counts, and whether the primary-progression
-partition argument holds coloring by coloring.  The count walks colored
-prefixes and settles a whole subtree at once when its prefix already holds
-a monochromatic progression; the partition checks visit every coloring.
+contain a monochromatic k-term progression, and whether the analytic
+counting bounds dominate those counts.  The count walks colored prefixes
+and settles a whole subtree at once when its prefix already holds a
+monochromatic progression.  The two primary-progression checks share one
+sweep that visits every coloring and scans for its (a, d)-primary
+progression: the partition check that primary_progression finds the same
+one (and None exactly when the scan does), the forced check that no
+progression is primary for more colorings than its forced elements allow.
 This is the module the analytic side is checked against, so it stays
 deliberately dumb: no symmetry tricks, no sampling, exact integers or
 refusal.
@@ -14,11 +17,12 @@ refusal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .bounds import quasi_counting_bound, semi_counting_bound
 from .errors import BudgetExceededError
@@ -41,7 +45,13 @@ class OracleBudget:
     max_points: int = 24
     max_colorings: int = 2**24
 
+    def __post_init__(self):
+        if min(self.max_points, self.max_colorings) < 0:
+            raise ValueError("oracle budget caps must be non-negative")
+
     def check(self, r: int, N: int) -> None:
+        if r < 1 or N < 0:
+            raise ValueError(f"need r >= 1 colors and N >= 0 points, got r={r}, N={N}")
         if N > self.max_points:
             raise BudgetExceededError(
                 f"N={N} exceeds the {self.max_points}-point oracle budget"
@@ -164,30 +174,30 @@ def verify_counting_inequality(
 ) -> CountReport:
     """Compare the exhaustive monochromatic-coloring count against the
     analytic upper bound for the family; bound_satisfied records whether
-    the bound held.  A False result is a finding, not an exception."""
-    plain = count_mono_colorings(r, N, k, family, budget)
+    the bound held.  A False result is a finding, not an exception.  The
+    budget and the bound's scope are checked before the count runs."""
+    budget.check(r, N)
     bound = _family_bound(r, N, k, family)
-    return CountReport(
-        N,
-        k,
-        family,
-        r,
-        plain.mono_count,
-        plain.total,
-        bound_value=bound,
-        bound_satisfied=plain.mono_count <= bound,
-    )
+    plain = count_mono_colorings(r, N, k, family, budget)
+    return replace(plain, bound_value=bound, bound_satisfied=plain.mono_count <= bound)
 
 
-def _primary_by_scan(
-    colors: Tuple[int, ...], candidates: Tuple[Tuple[int, ...], ...]
-) -> Optional[Tuple[int, ...]]:
-    """First monochromatic candidate in conjugate-lex order, or None."""
-    for terms in candidates:
-        c = colors[terms[0] - 1]
-        if all(colors[t - 1] == c for t in terms[1:]):
-            return terms
-    return None
+def _primaries(
+    r: int, N: int, candidates: Tuple[Tuple[int, ...], ...]
+) -> Iterator[Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]]:
+    """Every r-coloring of [1, N] with its primary progression found by scan:
+    the first monochromatic candidate in conjugate-lex order, or None."""
+    for colors in product(range(r), repeat=N):
+        for terms in candidates:
+            c = colors[terms[0] - 1]
+            for t in terms:
+                if colors[t - 1] != c:
+                    break
+            else:  # every term has the first term's color
+                yield colors, terms
+                break
+        else:
+            yield colors, None
 
 
 def primary_partition_check(
@@ -203,29 +213,19 @@ def primary_partition_check(
     the colorings admitting a monochromatic progression with first term a
     and low-difference d.
 
-    For every such coloring there must be exactly one primary progression,
-    the per-progression primary counts must sum to the total count of
-    colorings with any monochromatic (a, d) candidate, and the scan-based
-    primary must agree with primary_progression.  Vacuously true when no
-    candidate fits in [1, N].
+    The scan gives each coloring at most one primary: the first monochromatic
+    candidate in conjugate-lex order.  The check is that on every coloring
+    primary_progression returns that candidate's terms, and None exactly when
+    no candidate is monochromatic (so on every coloring when no candidate
+    fits in [1, N]).
     """
     budget.check(r, N)
     candidates = progressions_from(N, k, family, a, d)
-    per_progression = {terms: 0 for terms in candidates}
-    with_mono = 0
-    for colors in product(range(r), repeat=N):
-        primary = _primary_by_scan(colors, candidates)
-        chi = Coloring(colors, r)
-        from_search = primary_progression(chi, a, d, k, family)
-        if primary is None:
-            if from_search is not None:
-                return False
-            continue
-        if from_search is None or from_search.terms != primary:
+    for colors, primary in _primaries(r, N, candidates):
+        found = primary_progression(Coloring(colors, r), a, d, k, family)
+        if (None if found is None else found.terms) != primary:
             return False
-        with_mono += 1
-        per_progression[primary] += 1
-    return sum(per_progression.values()) == with_mono
+    return True
 
 
 def forced_count_check(
@@ -245,14 +245,9 @@ def forced_count_check(
     candidates = progressions_from(N, k, family, a, d)
     if not candidates:
         return True
-    counts = {terms: 0 for terms in candidates}
-    for colors in product(range(r), repeat=N):
-        primary = _primary_by_scan(colors, candidates)
-        if primary is not None:
-            counts[primary] += 1
+    counts = Counter(p for _, p in _primaries(r, N, candidates) if p is not None)
     for terms, observed in counts.items():
-        p = Progression(terms, d, family)
-        w = weight(conjugate_vector(p))
+        w = weight(conjugate_vector(Progression(terms, d, family)))
         allowed = r * (r - 1) ** w * r ** (N - k - w)
         if observed > allowed:
             return False

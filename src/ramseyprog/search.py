@@ -203,6 +203,8 @@ def random_witness_search(
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
+    if r < 2:
+        raise ValueError("need at least 2 colors")
     rng = random.Random(budget.seed)
     per_attempt = max(1, budget.max_nodes // budget.restarts)
     moves_total = 0

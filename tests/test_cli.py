@@ -299,3 +299,71 @@ def test_invalid_values_exit_2(capsys):
     code, _, _ = run(capsys, "oracle", "count", "--N", "5", "--k", "3",
                      "--family", "quasi", "--param", "-1")
     assert code == 2
+
+
+# the text output and certificate file of each search outcome, recorded
+# before cmd_search was folded into one output tail
+SEARCH_TAILS = [
+    (["exact", "--k", "3"], 0,
+     "value = 9\nwitness (length 8) = 00110011\nnodes explored = 136\n"
+     "exhaustive = true\n",
+     '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n'),
+    (["exact", "--k", "4", "--max-nodes", "50"], 3,
+     "budget exhausted: node budget 50 exhausted\nbest lower bound: value >= 10\n"
+     "witness (length 9) = 000100100\n",
+     '{"family": "semi", "param": 1, "r": 2, "k": 4, "n_points": 9}\n000100100\n'),
+    (["witness", "--N", "8", "--k", "3", "--seed", "3"], 0,
+     "witness (length 8) = 00110011\n",
+     '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n'),
+    (["witness", "--N", "9", "--k", "3", "--max-nodes", "400", "--restarts", "4"], 3,
+     "no witness found for N=9 within budget\n", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, cert", SEARCH_TAILS)
+def test_search_output_tails_pinned(capsys, tmp_path, argv, code, text, cert):
+    out_file = tmp_path / "w.txt"
+    assert run(capsys, "search", *argv, "--family", "semi", "--param", "1",
+               "--witness-out", str(out_file)) == (code, text, "")
+    if cert is None:
+        assert not out_file.exists()
+    else:
+        assert out_file.read_text() == cert
+
+
+def test_search_witness_failing_reverification_exit_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "check_witness", lambda *args: False)
+    out_file = tmp_path / "w.txt"
+    code, out, _ = run(capsys, "search", "witness", "--N", "8", "--k", "3",
+                       "--family", "semi", "--param", "1", "--seed", "3",
+                       "--witness-out", str(out_file))
+    assert (code, out) == (1, "search returned a coloring that fails re-verification\n")
+    assert not out_file.exists()
+
+
+def test_search_witness_fewer_than_two_colors_exit_2(capsys):
+    code, _, err = run(capsys, "search", "witness", "--r", "0", "--N", "5",
+                       "--k", "3", "--family", "semi", "--param", "1")
+    assert code == 2
+    assert err == "error: need at least 2 colors\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--r", "2", "--N", "-3"],
+    ["--r", "0", "--N", "3"],
+    ["--N", "5", "--max-points", "-1"],
+])
+def test_oracle_invalid_size_or_budget_exit_2(capsys, extra):
+    code, out, err = run(capsys, "oracle", "count", *extra, "--k", "3",
+                         "--family", "semi", "--param", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_oracle_one_color_and_empty_ground_set_still_count(capsys):
+    code, out, _ = run(capsys, "oracle", "count", "--r", "1", "--N", "4", "--k", "3",
+                       "--family", "semi", "--param", "1")
+    assert (code, out) == (0, "monochromatic colorings: 1 / 1\n")
+    code, out, _ = run(capsys, "oracle", "count", "--N", "0", "--k", "3",
+                       "--family", "semi", "--param", "1")
+    assert (code, out) == (0, "monochromatic colorings: 0 / 1\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramseyprog import oracle
 from ramseyprog.errors import BudgetExceededError
 from ramseyprog.oracle import (
     CountReport,
@@ -209,3 +210,35 @@ def test_threshold_semantics_match_search():
             if count_mono_colorings(2, N, k, fam).mono_count == 2**N
         )
         assert least == value
+
+
+def test_oracle_budget_rejects_invalid_sizes_and_caps():
+    for r, N in ((0, 3), (2, -3)):
+        with pytest.raises(ValueError):
+            count_mono_colorings(r, N, 3, SEMI1)
+    for caps in ({"max_points": -1}, {"max_colorings": -1}):
+        with pytest.raises(ValueError):
+            OracleBudget(**caps)
+
+
+def test_verify_refuses_the_semi_scope_before_counting(monkeypatch):
+    def never(*args):
+        raise AssertionError("the count ran")
+
+    monkeypatch.setattr(oracle, "count_mono_colorings", never)
+    with pytest.raises(ValueError, match="specific to 2 colors"):
+        verify_counting_inequality(3, 14, 9, SEMI1)
+    # over budget, the budget refusal still wins
+    with pytest.raises(BudgetExceededError):
+        verify_counting_inequality(3, 30, 9, SEMI1)
+
+
+def test_primary_checks_can_fail(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "primary_progression", lambda *args: None)
+        assert not primary_partition_check(2, 5, 3, SEMI1, 1, 1)
+    # the weight-0 candidate (2, 4, 6) meets its bound exactly, so one more
+    # forced cell makes it too small
+    weight = oracle.weight
+    monkeypatch.setattr(oracle, "weight", lambda u: weight(u) + 1)
+    assert not forced_count_check(2, 8, 3, SEMI1, 2, 2)
