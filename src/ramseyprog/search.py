@@ -3,9 +3,17 @@
 The exact route extends partial colorings left to right by an iterative
 depth-first search.  Coloring a point fills its row of the chain-length
 table (progressions.fill_chains), and a color is rejected as soon as a
-monochromatic chain ending there reaches k terms.  When the search exhausts
-all colorings of [1, N] without finding a valid one, every coloring of
-[1, N] contains a monochromatic progression and N is the threshold.  The
+monochromatic chain ending there reaches k terms.  A forward check looks
+one step further: a chain of k - 1 terms ending at the new point blocks its
+color at every later point one allowed gap away, kept as one color bitmask
+per point with an undo log per level, and a point with every color blocked
+rejects the prefix.  Each N resumes on the path of the first valid coloring
+w of [1, N-1]: the first valid coloring of [1, N] restricts to a valid
+coloring of [1, N-1], so it is not below w in the search order.  Once the
+search rejects a color it has left w's path, and every deeper level
+restarts from color 0.  When the search exhausts all colorings of [1, N]
+without finding a valid one, every coloring of [1, N] contains a
+monochromatic progression and N is the threshold.  The
 randomized route exhibits valid colorings at sizes where exhaustive proof
 is pointless: random start, then local repair on detected progressions.
 
@@ -19,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, WitnessFormatError
 from .progressions import (
@@ -78,11 +86,41 @@ class _NodeMeter:
             raise BudgetExceededError(f"node budget {self.cap} exhausted")
 
 
+def _block_ahead(
+    i: int,
+    bit: int,
+    columns: list,
+    k: int,
+    blocked: List[int],
+    full: int,
+    undo: List[int],
+) -> bool:
+    """Block ``bit`` at every point one allowed gap after 0-based point i
+    for each column (backward gap offsets, chain lengths) whose chain ending
+    at i has k - 1 terms, appending each point whose mask changes to
+    ``undo``.  True, leaving the rest unblocked, once a mask reaches ``full``."""
+    n = len(blocked)
+    for offsets, lengths in columns:
+        if lengths[i] == k - 1:
+            for s in offsets:
+                j = i - s
+                if j >= n:
+                    break
+                mask = blocked[j]
+                if not mask & bit:
+                    blocked[j] = mask = mask | bit
+                    undo.append(j)
+                    if mask == full:
+                        return True
+    return False
+
+
 def _find_valid_coloring(
-    r: int, N: int, k: int, family: Family, meter: _NodeMeter
+    r: int, N: int, k: int, family: Family, meter: _NodeMeter, start: Sequence[int]
 ) -> Optional[Tuple[int, ...]]:
-    """Some coloring of [1, N] with no monochromatic k-term progression, or
-    None after exhausting the (symmetry-reduced) space.
+    """The first coloring of [1, N], in canonical order, with no
+    monochromatic k-term progression, or None after exhausting the
+    (symmetry-reduced) space.
 
     Colors are tried in ascending order and a color may exceed the largest
     used so far by at most one, so exactly one representative per
@@ -90,6 +128,20 @@ def _find_valid_coloring(
     iff its representative is valid.  next_color[i] is the next color to
     try at 0-based point i, top[i] the largest color before it.  A chain
     table row depends only on earlier rows, so backtracking keeps them valid.
+
+    ``start`` is the first valid coloring of a shorter interval.  Every
+    valid coloring of [1, N] restricts to a valid one there, which is at
+    least ``start`` in this order, so the search begins on start's path.
+    Once the search rejects a color (below), it has left that path, and
+    every deeper level restarts from color 0: a level not yet entered would
+    otherwise still hold start's color and skip the colors below it.
+
+    Forward check: when point i gets color c and some low-difference's
+    chain ending at i has k - 1 terms, every later point one allowed gap
+    away is blocked for c.  blocked[j] is a bitmask of the colors blocked at
+    point j, and blocks[i] lists the points whose mask level i set, so that
+    trying another color at i undoes them.  A point with every color
+    blocked cannot be colored, so the prefix is rejected.
     """
     colors = [0] * N
     columns = [  # per low-difference: backward gap offsets, chain lengths
@@ -97,11 +149,22 @@ def _find_valid_coloring(
         for d in range(1, (N - 1) // (k - 1) + 1)
     ]
     next_color = [0] * N
+    next_color[: len(start)] = start
+    on_start_path = True
     top = [-1] * (N + 1)
+    full = (1 << r) - 1
+    blocked = [0] * N
+    blocks: List[List[int]] = [[] for _ in range(N)]
     i = 0
     while i >= 0:
         if i == N:
             return tuple(colors)
+        undo = blocks[i]
+        if undo:
+            bit = 1 << colors[i]
+            for j in undo:
+                blocked[j] ^= bit
+            undo.clear()
         c = next_color[i]
         if c > top[i] + 1 or c == r:
             next_color[i] = 0
@@ -110,9 +173,16 @@ def _find_valid_coloring(
         next_color[i] = c + 1
         meter.tick()
         colors[i] = c
-        if not fill_chains(colors, (i,), columns, k):
+        # a blocked color completes a chain: fill_chains would reject it
+        dead = blocked[i] >> c & 1 or fill_chains(colors, (i,), columns, k)
+        if not dead:
+            dead = _block_ahead(i, 1 << c, columns, k, blocked, full, undo)
+        if not dead:
             top[i + 1] = max(top[i], c)
             i += 1
+        elif on_start_path:
+            next_color[i + 1 :] = [0] * (N - i - 1)
+            on_start_path = False
     return None
 
 
@@ -148,7 +218,7 @@ def exact_threshold(
                 f"threshold exceeds max_length={budget.max_length}", partial=partial()
             )
         try:
-            found = _find_valid_coloring(r, N, k, family, meter)
+            found = _find_valid_coloring(r, N, k, family, meter, witness.colors)
         except BudgetExceededError as exc:
             exc.partial = partial()
             raise

@@ -2,8 +2,10 @@
 
 Everything here recomputes results straight from the definitions with plain
 itertools enumeration: no bitmasks, no pruning, no recursion tricks, and no
-calls into the library's search or counting code.  Slow on purpose; only
-run at sizes where full enumeration is instant.
+calls into the library's search or counting code.  The one search,
+first_valid_coloring, drops only prefixes whose last point already ends a
+monochromatic progression.  Slow on purpose; only run at sizes where full
+enumeration is instant.
 """
 
 from fractions import Fraction
@@ -101,3 +103,37 @@ def floor_beta_n1_power(r, k):
         a, b = a * r * r - b * r * D, b * r * r - a * r
     floor_b = isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D) - 1
     return isqrt(a + floor_b)
+
+
+def mono_ending_at(colors, k, kind, param):
+    """True iff the last point of ``colors`` ends a monochromatic k-term
+    progression, by trying every low-difference and gap tuple."""
+    p = len(colors)
+    for d in range(1, p):
+        for gaps in product(allowed_gaps(kind, param, d), repeat=k - 1):
+            terms = [p]
+            for g in reversed(gaps):
+                terms.append(terms[-1] - g)
+            if terms[-1] >= 1 and all(colors[t - 1] == colors[p - 1] for t in terms):
+                return True
+    return False
+
+
+def first_valid_coloring(r, N, k, kind, param):
+    """The first coloring of [1, N] with no monochromatic k-term
+    progression, in lexicographic order among colorings whose colors appear
+    in the order 0, 1, 2, ..., or None.  Plain depth-first search that
+    extends a prefix only while its last point ends no such progression."""
+    colors = []
+    nxt = 0
+    while len(colors) < N:
+        if nxt < min(r, max(colors, default=-1) + 2):
+            colors.append(nxt)
+            nxt = 0
+            if mono_ending_at(colors, k, kind, param):
+                nxt = colors.pop() + 1
+        elif colors:
+            nxt = colors.pop() + 1
+        else:
+            return None
+    return tuple(colors)

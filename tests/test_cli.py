@@ -305,7 +305,7 @@ def test_invalid_values_exit_2(capsys):
 # before cmd_search was folded into one output tail
 SEARCH_TAILS = [
     (["exact", "--k", "3"], 0,
-     "value = 9\nwitness (length 8) = 00110011\nnodes explored = 136\n"
+     "value = 9\nwitness (length 8) = 00110011\nnodes explored = 74\n"
      "exhaustive = true\n",
      '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n'),
     (["exact", "--k", "4", "--max-nodes", "50"], 3,
