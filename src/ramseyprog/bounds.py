@@ -10,10 +10,10 @@ alpha^min(i, n-j), alpha = 1 - 1/r.
 
 Rational quantities (matrix entries, weighted sums, counting bounds) are
 kept as exact Fractions.  The Perron root is enclosed in an exact rational
-Collatz-Wielandt bracket (``perron_bracket``), and threshold floors are
-decided from both ends of it; floats are only for display.  Exact-rational
-bisection on the Sturm sequence of the characteristic polynomial is an
-independent cross-check.
+Collatz-Wielandt bracket (``perron_bracket``), narrowed past float precision
+by squaring the integer matrix, and threshold floors are decided from both
+ends of it; floats are only for display.  Exact-rational bisection on the
+Sturm sequence of the characteristic polynomial is an independent check.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .errors import ConvergenceError
 from .progressions import Family, FrequencyVector, pair_multiplicity
 
 MAX_MATRIX_DIM = 64
-FLOAT_SOLVES = 64  # caps on perron_bracket's float solves and integer power steps
-MAX_POWER_STEPS = 4096
+MAX_POWER_STEPS = 64  # cap on perron_bracket's float solves and on its squarings
 THRESHOLD_DOUBLINGS = 8  # cap on BoundResult.threshold's precision doublings
 
 
@@ -163,12 +162,9 @@ def transfer_matrix(r: int, n: int) -> TransferMatrix:
         raise ValueError("need at least 2 colors")
     if n < 0:
         raise ValueError("diameter must be non-negative")
-    alpha = 1 - Fraction(1, r)
-    entries = tuple(
-        tuple(alpha ** pair_multiplicity(i, j, n) for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    return TransferMatrix(r, n, entries)
+    powers = [(1 - Fraction(1, r)) ** e for e in range(n + 1)]
+    rows = [[powers[pair_multiplicity(i, j, n)] for j in range(n + 1)] for i in range(n + 1)]
+    return TransferMatrix(r, n, rows)
 
 
 def _solve_shifted(rows: Sequence[Sequence[float]], shift: float, rhs: Sequence[float]):
@@ -202,12 +198,13 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
     lo and hi are min_i and max_i of (Av)_i / v_i, which bracket the Perron
     root for any positive v (Collatz-Wielandt), taken exactly with A and v
     scaled to integers: rounding in v can only widen the bracket.  v comes
-    from float inverse iteration shifted just above the root; integer power
-    steps narrow the bracket past float precision, up to MAX_POWER_STEPS.
+    from float inverse iteration shifted just above the root, and past float
+    precision from A^(2^j) v for j = 1, 2, ..., squaring A in integers, so the
+    bits gained per step double; MAX_POWER_STEPS caps solves and squarings.
     """
     rows = [[float(a) for a in row] for row in A.entries]
     v, sigma = [sum(row) for row in rows], math.inf  # A times the all-ones vector
-    for _ in range(FLOAT_SOLVES):
+    for _ in range(MAX_POWER_STEPS):
         w = [sum(a * x for a, x in zip(row, v)) for row in rows]
         upper = max(wi / vi for wi, vi in zip(w, v))
         if upper >= sigma:  # no progress left at float precision
@@ -220,15 +217,18 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
         v = [xi / top for xi in x]
     scale = math.lcm(*(a.denominator for row in A.entries for a in row))
     ints = [[a.numerator * (scale // a.denominator) for a in row] for row in A.entries]
-    iv = [max(1, int(math.ldexp(x, 62))) for x in v]
+    iv = v0 = [max(1, int(math.ldexp(x, 62))) for x in v]
+    power = ints  # a positive multiple of A^(2^j)
     for _ in range(MAX_POWER_STEPS + 1):
         w = [sum(a * x for a, x in zip(row, iv)) for row in ints]
         ratios = [Fraction(wi, scale * xi) for wi, xi in zip(w, iv)]
         lo, hi = min(ratios), max(ratios)
         if (hi - lo) * 2**bits <= lo:
             return lo, hi
-        shift = min(w).bit_length() - bits - 16  # keep bits + 16 bits in the least entry
-        iv = [wi >> shift for wi in w] if shift > 0 else w
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)] for row in power]
+        shift = max(0, min(map(min, power)).bit_length() - bits - 64)  # keep bits + 64 bits
+        power = [[e >> shift for e in row] for row in power]
+        iv = [sum(a * x for a, x in zip(row, v0)) for row in power]
     raise ConvergenceError(f"Perron bracket wider than 2^-{bits} after the step cap")
 
 

@@ -24,6 +24,7 @@ search and enumeration budgets; explicit flags beat the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -95,6 +96,22 @@ def _emit(fmt: str, payload, lines: List[str]) -> None:
             print(line)
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on int-to-str digits (3.11 on) while output is
+    built, so an exact floor of any length prints; options such as --k are
+    parsed before, under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _family(args) -> Family:
     return Family(args.family, args.param)
 
@@ -145,12 +162,13 @@ def cmd_bound(args) -> int:
             f"lambda in [{payload['lambda_lo']!r}, {payload['lambda_hi']!r}]",
             f"useful = {str(res.useful).lower()}",
         ]
-    if args.k is not None:
-        t = res.threshold(args.k)
-        payload["k"] = args.k
-        payload["threshold"] = t
-        lines.append(f"floor({name}^{args.k}) = {t}")
-    _emit(args.format, payload, lines)
+    with _int_digits_unlimited():
+        if args.k is not None:
+            t = res.threshold(args.k)
+            payload["k"] = args.k
+            payload["threshold"] = t
+            lines.append(f"floor({name}^{args.k}) = {t}")
+        _emit(args.format, payload, lines)
     return 0
 
 

@@ -364,6 +364,22 @@ def test_quasi_threshold_exact_at_diameter_1():
     assert time.perf_counter() - start < 0.5
 
 
+def test_quasi_threshold_exact_at_large_k():
+    # about 23,600 bits of lambda: 4,096 plain power steps fell short here
+    start = time.perf_counter()
+    floor = beta_quasi(10, 1).threshold(20000)
+    assert time.perf_counter() - start < 0.5
+    assert floor == floor_beta_n1_power(10, 20000)
+
+
+def test_threshold_undecided_raises(monkeypatch):
+    # the 48-bit bracket leaves floor(beta^2000) open, and one doubling
+    # ends the loop right after the refinement, before the floors are retaken
+    monkeypatch.setattr(bounds, "THRESHOLD_DOUBLINGS", 1)
+    with pytest.raises(ConvergenceError, match="undecided"):
+        beta_quasi(2, 1).threshold(2000)
+
+
 def test_beta_quasi_near_degenerate():
     # the two largest eigenvalues of (2, 63) differ by about 4e-8
     start = time.perf_counter()

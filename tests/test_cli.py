@@ -1,7 +1,9 @@
 import csv
+import decimal
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -10,6 +12,8 @@ from ramseyprog.cli import main
 from ramseyprog.progressions import Coloring, Family
 from ramseyprog.oracle import OracleBudget
 from ramseyprog.search import SearchBudget, write_witness
+
+from brute import floor_beta_n1_power
 
 
 def run(capsys, *argv):
@@ -93,6 +97,19 @@ def test_bound_quasi_threshold_exact(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_lo"] <= payload["lambda_max"] <= payload["lambda_hi"]
+
+
+def test_bound_quasi_prints_floors_of_any_length(capsys):
+    # 4,617 digits, past Python's default limit of 4,300 for int-to-str;
+    # Decimal parses and compares them without that limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, _ = run(capsys, "bound", "quasi", "--r", "10", "--n", "1",
+                       "--k", "13000", "--format", "json")
+    assert code == 0
+    assert limit() == before  # lifted while printing only
+    payload = json.loads(out, parse_int=decimal.Decimal)
+    assert payload["threshold"] == floor_beta_n1_power(10, 13000)
 
 
 def test_bound_quasi_nonconvergence_exits_3(capsys, monkeypatch):
