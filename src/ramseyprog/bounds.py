@@ -8,12 +8,14 @@ with r colors the base is beta = sqrt(r / lambda_max) where lambda_max is
 the Perron root of a positive (n+1) x (n+1) transfer matrix with entries
 alpha^min(i, n-j), alpha = 1 - 1/r.
 
-Rational quantities (matrix entries, weighted sums, counting bounds) are
-kept as exact Fractions.  The Perron root is enclosed in an exact rational
-Collatz-Wielandt bracket (``perron_bracket``), narrowed past float precision
-by squaring the integer matrix, and threshold floors are decided from both
-ends of it; floats are only for display.  Exact-rational bisection on the
-Sturm sequence of the characteristic polynomial is an independent check.
+Rational quantities (weighted sums, counting bounds) are kept as exact
+Fractions.  The transfer matrix is defined by (r, n) alone and applied in
+O(n) from its structure.  Its Perron root is enclosed in an exact rational
+Collatz-Wielandt bracket (``perron_bracket``), narrowed by inverse iteration
+solved in O(n) in big-integer fixed point, and threshold floors are decided
+from both ends of it; floats are only for display.  Exact-rational bisection
+on the Sturm sequence of the characteristic polynomial is an independent
+check.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import ConvergenceError
 from .progressions import Family, FrequencyVector, pair_multiplicity
 
 MAX_MATRIX_DIM = 64
-MAX_POWER_STEPS = 64  # cap on perron_bracket's float solves and on its squarings
+MAX_POWER_STEPS = 64  # cap on perron_bracket's inverse-iteration steps
 THRESHOLD_DOUBLINGS = 8  # cap on BoundResult.threshold's precision doublings
 
 
@@ -121,22 +123,24 @@ class TransferMatrix:
 
     entry[i][j] = alpha^min(i, n-j) with alpha = 1 - 1/r, so row 0 and
     column n are all ones and the exponent is exactly the pair multiplicity
-    of adjacent conjugate entries (i, j).
+    of adjacent conjugate entries (i, j).  (r, n) defines it; it is never
+    stored.  Row i is alpha^i up to column n-i and alpha^(n-j) after it, so
+
+        (Av)_i = alpha^i (v_0 + ... + v_(n-i)) + sum_(t<i) alpha^t v_(n-t),
+
+    an O(n) product with one prefix sum and one running tail.
     """
 
     r: int
     n: int
-    entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
-        dim = self.n + 1
-        if dim > MAX_MATRIX_DIM:
-            raise ValueError(f"matrix dimension {dim} exceeds {MAX_MATRIX_DIM}")
-        if len(self.entries) != dim or any(len(row) != dim for row in self.entries):
-            raise ValueError(f"entries must be {dim}x{dim}")
+        if self.r < 2:
+            raise ValueError("need at least 2 colors")
+        if self.n < 0:
+            raise ValueError("diameter must be non-negative")
+        if self.dim > MAX_MATRIX_DIM:
+            raise ValueError(f"matrix dimension {self.dim} exceeds {MAX_MATRIX_DIM}")
 
     @property
     def alpha(self) -> Fraction:
@@ -146,89 +150,122 @@ class TransferMatrix:
     def dim(self) -> int:
         return self.n + 1
 
+    @property
+    def entries(self) -> tuple:
+        """The dense rows as Fractions, for cross-checks only."""
+        powers = [self.alpha**e for e in range(self.dim)]
+        return tuple(
+            tuple(powers[pair_multiplicity(i, j, self.n)] for j in range(self.dim))
+            for i in range(self.dim)
+        )
+
     def row_sums(self) -> List[Fraction]:
-        return [sum(row) for row in self.entries]
+        return self.apply([Fraction(1)] * self.dim)
 
     def apply(self, vec: Sequence[Fraction]) -> List[Fraction]:
         """Matrix-vector product in exact rationals."""
         if len(vec) != self.dim:
             raise ValueError("vector length must match matrix dimension")
-        return [sum(a * x for a, x in zip(row, vec)) for row in self.entries]
+        return _structured_product([self.alpha**t for t in range(self.dim)], vec)
 
 
 def transfer_matrix(r: int, n: int) -> TransferMatrix:
-    """Build the transfer matrix for r colors and diameter n."""
-    if r < 2:
-        raise ValueError("need at least 2 colors")
-    if n < 0:
-        raise ValueError("diameter must be non-negative")
-    powers = [(1 - Fraction(1, r)) ** e for e in range(n + 1)]
-    rows = [[powers[pair_multiplicity(i, j, n)] for j in range(n + 1)] for i in range(n + 1)]
-    return TransferMatrix(r, n, rows)
+    """The transfer matrix for r colors and diameter n."""
+    return TransferMatrix(r, n)
 
 
-def _solve_shifted(rows: Sequence[Sequence[float]], shift: float, rhs: Sequence[float]):
-    """The solution x of (shift*I - rows) x = rhs by Gaussian elimination with
-    partial pivoting, or None when the matrix is singular."""
-    a = [
-        [(shift if i == j else 0) - e for j, e in enumerate(row)] + [b]
-        for i, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    dim = len(a)
-    for col in range(dim):
-        piv = max(range(col, dim), key=lambda i: abs(a[i][col]))
-        if a[piv][col] == 0:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pivot_row = a[col]
-        tail = pivot_row[col:]
-        for row in a[col + 1 :]:
-            factor = row[col] / pivot_row[col]
-            if factor:
-                row[col:] = [x - factor * p for x, p in zip(row[col:], tail)]
-    x = [0.0] * dim
-    for i in reversed(range(dim)):
-        x[i] = (a[i][dim] - sum(a[i][j] * x[j] for j in range(i + 1, dim))) / a[i][i]
-    return x
+def _structured_product(weights: Sequence, vec: Sequence) -> list:
+    """(Mv)_i = w_i (v_0 + ... + v_(n-i)) + sum_(t<i) w_t v_(n-t): the
+    transfer matrix times vec for w_t = alpha^t, and r^n times it for
+    w_t = (r-1)^t r^(n-t)."""
+    n = len(vec) - 1
+    prefix = list(accumulate(vec))
+    out, tail = [], 0
+    for i, w in enumerate(weights):
+        out.append(w * prefix[n - i] + tail)
+        tail += w * vec[n - i]
+    return out
+
+
+def _march(r: int, sigma: int, prec: int, v: Sequence[int], first: int, last: int):
+    """x with x_0 = first and x_n = last from (s I - B) x = v, where
+    B = r^n A and s = sigma / 2^prec, in fixed point; and the two residuals
+    that vanish when x solves all of it.
+
+    Row 0 of B is r^n throughout, and row i+1 minus row i is -d_i on columns
+    0..n-1-i and 0 after, d_i = (r-1)^i r^(n-1-i).  So with S(m) the sum of
+    x_0..x_m, the rows read s x_0 - v_0 = r^n S(n) and
+
+        s (x_(i+1) - x_i) = v_(i+1) - v_i - d_i S(n-1-i),
+
+    which gives x_(i+1) once x_(n-i)..x_n are known, as S(n-1-i) is S(n)
+    less them, and x_i once x_0..x_(n-1-i) are.  The two ends alternate and
+    meet at ceil(n/2): the residuals are the two values found there, and
+    S(n) less the sum of x.
+    """
+    n = len(v) - 1
+    drops = [(r - 1) ** i * r ** (n - 1 - i) for i in range(n)]
+    total = (sigma * first - (v[0] << prec)) // (r**n << prec)  # S(n), by row 0
+    up, down = [first], [last]  # x_0, x_1, ... and x_n, x_(n-1), ...
+    up_sums, down_sums = [first], [last]
+    for step in range(n):
+        if step % 2 == 0:  # rows i, i+1 give x_(i+1)
+            i = len(up) - 1
+            rhs = v[i + 1] - v[i] - drops[i] * (total - down_sums[i])
+            up.append(up[-1] + (rhs << prec) // sigma)
+            up_sums.append(up_sums[-1] + up[-1])
+        else:  # rows i, i+1 give x_i
+            i = n - len(down)
+            rhs = v[i + 1] - v[i] - drops[i] * up_sums[n - 1 - i]
+            down.append(down[-1] - (rhs << prec) // sigma)
+            down_sums.append(down_sums[-1] + down[-1])
+    residuals = (up[-1] - down[-1], total - up_sums[-1] - down_sums[-1] + down[-1])
+    return up + down[-2::-1], residuals
 
 
 def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fraction]:
     """Exact Fractions lo <= lambda_max(A) <= hi with (hi - lo) * 2^bits <= lo.
 
     lo and hi are min_i and max_i of (Av)_i / v_i, which bracket the Perron
-    root for any positive v (Collatz-Wielandt), taken exactly with A and v
-    scaled to integers: rounding in v can only widen the bracket.  v comes
-    from float inverse iteration shifted just above the root, and past float
-    precision from A^(2^j) v for j = 1, 2, ..., squaring A in integers, so the
-    bits gained per step double; MAX_POWER_STEPS caps solves and squarings.
+    root for any positive v (Collatz-Wielandt), taken exactly with A scaled
+    by r^n and v in integers: rounding in v can only widen the bracket.  v
+    starts as the row sums, and each step replaces it by one inverse
+    iteration, (s I - A)^-1 v with the shift s just above hi, solved in O(n)
+    by ``_march`` in fixed point at twice the bits the bracket holds (at
+    most ``bits``) plus the bits v spans and 64 guard bits.  The bits held
+    about double per step; MAX_POWER_STEPS caps the steps.
     """
-    rows = [[float(a) for a in row] for row in A.entries]
-    v, sigma = [sum(row) for row in rows], math.inf  # A times the all-ones vector
-    for _ in range(MAX_POWER_STEPS):
-        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
-        upper = max(wi / vi for wi, vi in zip(w, v))
-        if upper >= sigma:  # no progress left at float precision
-            break
-        sigma = upper
-        x = _solve_shifted(rows, sigma, v)
-        if x is None or min(x) * max(x) <= 0:  # singular, or not of one sign
-            break
-        top = max(x, key=abs)
-        v = [xi / top for xi in x]
-    scale = math.lcm(*(a.denominator for row in A.entries for a in row))
-    ints = [[a.numerator * (scale // a.denominator) for a in row] for row in A.entries]
-    iv = v0 = [max(1, int(math.ldexp(x, 62))) for x in v]
-    power = ints  # a positive multiple of A^(2^j)
+    r, n = A.r, A.n
+    zeros = [0] * A.dim
+    weights = [(r - 1) ** t * r ** (n - t) for t in range(A.dim)]  # B = r^n A
+    v = _structured_product(weights, [1] * A.dim)
     for _ in range(MAX_POWER_STEPS + 1):
-        w = [sum(a * x for a, x in zip(row, iv)) for row in ints]
-        ratios = [Fraction(wi, scale * xi) for wi, xi in zip(w, iv)]
-        lo, hi = min(ratios), max(ratios)
-        if (hi - lo) * 2**bits <= lo:
-            return lo, hi
-        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)] for row in power]
-        shift = max(0, min(map(min, power)).bit_length() - bits - 64)  # keep bits + 64 bits
-        power = [[e >> shift for e in row] for row in power]
-        iv = [sum(a * x for a, x in zip(row, v0)) for row in power]
+        w = _structured_product(weights, v)
+        lo = hi = 0  # the least and greatest w_i / v_i, by cross-multiplying
+        for i in range(1, A.dim):
+            if w[i] * v[lo] < w[lo] * v[i]:
+                lo = i
+            elif w[i] * v[hi] > w[hi] * v[i]:
+                hi = i
+        least, width = w[lo] * v[hi], w[hi] * v[lo] - w[lo] * v[hi]
+        if width << bits <= least:
+            return Fraction(w[lo], r**n * v[lo]), Fraction(w[hi], r**n * v[hi])
+        held = max(0, least.bit_length() - width.bit_length())
+        prec = min(2 * held, bits) + max(v).bit_length() - min(v).bit_length() + 64
+        sigma = (w[hi] << prec) // v[hi] + 1  # s = sigma / 2^prec, just above hi
+        lift = max(0, sigma.bit_length() - max(v).bit_length())  # x is about v / s
+        x_v, res_v = _march(r, sigma, prec, [e << lift for e in v], 0, 0)
+        x_0, res_0 = _march(r, sigma, prec, zeros, 1 << prec, 0)
+        x_n, res_n = _march(r, sigma, prec, zeros, 0, 1 << prec)
+        # x_v + c_0 x_0 + c_n x_n zeroes both residuals (Cramer), times det
+        det = res_0[0] * res_n[1] - res_0[1] * res_n[0]
+        c_0 = res_n[0] * res_v[1] - res_n[1] * res_v[0]
+        c_n = res_v[0] * res_0[1] - res_v[1] * res_0[0]
+        x = [det * a + c_0 * b + c_n * c for a, b, c in zip(x_v, x_0, x_n)]
+        if det < 0:
+            x = [-e for e in x]
+        cut = max(0, max(x).bit_length() - prec)
+        v = [max(1, e >> cut) for e in x]  # rounding can only widen the bracket
     raise ConvergenceError(f"Perron bracket wider than 2^-{bits} after the step cap")
 
 
@@ -302,7 +339,8 @@ class BoundResult:
     """A lower-bound base: the Ramsey threshold exceeds base^k, where
     base^2 = r / lambda and lambda lies in the exact enclosure [lambda_lo,
     lambda_hi] (the Perron root of transfer_matrix(r, n) for quasi, the point
-    2 - 2^(1-m) for semi).  ``base`` and ``lambda_max`` are display floats.
+    2 - 2^(1-m) for semi).  ``base`` and ``lambda_max`` are display floats,
+    and ``lambda_max`` lies in the enclosure.
     ``useful`` (base > 1) is decided from the enclosure: lambda_hi < r.
     """
 
@@ -372,6 +410,9 @@ def beta_quasi(r: int, n: int) -> BoundResult:
         bits *= 2
         lo, hi = perron_bracket(A, bits)
     lam = float((lo + hi) / 2)
+    if lam > hi:  # a bracket narrower than a float ulp may hold no float
+        lam = math.nextafter(lam, 0)
+    lo = min(lo, Fraction(lam))  # still below lambda_max, and now holds lam
     return BoundResult(Family.quasi(n), r, math.sqrt(r / lam), lam, lo, hi, hi < r)
 
 

@@ -12,9 +12,10 @@ One subcommand per computation:
 Exit codes: 0 success; 1 a checked inequality failed or a certificate is
 invalid; 2 usage or format error; 3 budget exhausted (including an
 eigenvalue bracket or a threshold undecided within the step cap, and
-witness-not-found).  Output is text by default, CSV for the table, and JSON
-everywhere on request; with --format json, errors are also emitted as a
-JSON object on stdout.
+witness-not-found); 141 (128 + SIGPIPE) when the reader closes stdout
+early, with nothing on stderr.  Output is text by default, CSV for the
+table, and JSON everywhere on request; with --format json, errors are also
+emitted as a JSON object on stdout.
 
 Environment variables RAMSEYPROG_MAX_NODES, RAMSEYPROG_MAX_LENGTH,
 RAMSEYPROG_MAX_POINTS and RAMSEYPROG_MAX_COLORINGS override the default
@@ -473,7 +474,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
 
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: end quietly, as a SIGPIPE death would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (BudgetExceededError, ConvergenceError) as exc:
         return fail(exc, 3)
     except WitnessFormatError as exc:

@@ -5,9 +5,12 @@ itertools enumeration: no bitmasks, no pruning, no recursion tricks, and no
 calls into the library's search or counting code.  The one search,
 first_valid_coloring, drops only prefixes whose last point already ends a
 monochromatic progression.  Slow on purpose; only run at sizes where full
-enumeration is instant.
+enumeration is instant.  dense_perron_bracket keeps the generic matrix route
+to the Perron root (dense float solves, exact ratios, integer squaring) as a
+reference for the library's structured one.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -137,3 +140,63 @@ def first_valid_coloring(r, N, k, kind, param):
         else:
             return None
     return tuple(colors)
+
+
+def _solve_shifted(rows, shift, rhs):
+    """The solution x of (shift*I - rows) x = rhs by Gaussian elimination with
+    partial pivoting in floats, or None when the matrix is singular."""
+    a = [
+        [(shift if i == j else 0) - e for j, e in enumerate(row)] + [b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    dim = len(a)
+    for col in range(dim):
+        piv = max(range(col, dim), key=lambda i: abs(a[i][col]))
+        if a[piv][col] == 0:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        pivot_row = a[col]
+        tail = pivot_row[col:]
+        for row in a[col + 1 :]:
+            factor = row[col] / pivot_row[col]
+            if factor:
+                row[col:] = [x - factor * p for x, p in zip(row[col:], tail)]
+    x = [0.0] * dim
+    for i in reversed(range(dim)):
+        x[i] = (a[i][dim] - sum(a[i][j] * x[j] for j in range(i + 1, dim))) / a[i][i]
+    return x
+
+
+def dense_perron_bracket(rows, bits=48, steps=64):
+    """Exact Fractions lo <= lambda_max <= hi with (hi - lo) * 2^bits <= lo for
+    any positive matrix of Fraction rows, by the generic dense route: float
+    inverse iteration shifted to the upper ratio, then exact Collatz-Wielandt
+    ratios of A^(2^j) v, squaring the integer matrix once per step."""
+    floats = [[float(a) for a in row] for row in rows]
+    v, sigma = [sum(row) for row in floats], math.inf
+    for _ in range(steps):
+        w = [sum(a * x for a, x in zip(row, v)) for row in floats]
+        upper = max(wi / vi for wi, vi in zip(w, v))
+        if upper >= sigma:
+            break
+        sigma = upper
+        x = _solve_shifted(floats, sigma, v)
+        if x is None or min(x) * max(x) <= 0:
+            break
+        top = max(x, key=abs)
+        v = [xi / top for xi in x]
+    scale = math.lcm(*(a.denominator for row in rows for a in row))
+    ints = [[a.numerator * (scale // a.denominator) for a in row] for row in rows]
+    iv = v0 = [max(1, int(math.ldexp(x, 62))) for x in v]
+    power = ints
+    for _ in range(steps + 1):
+        w = [sum(a * x for a, x in zip(row, iv)) for row in ints]
+        ratios = [Fraction(wi, scale * xi) for wi, xi in zip(w, iv)]
+        lo, hi = min(ratios), max(ratios)
+        if (hi - lo) * 2**bits <= lo:
+            return lo, hi
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)] for row in power]
+        shift = max(0, min(map(min, power)).bit_length() - bits - 64)
+        power = [[e >> shift for e in row] for row in power]
+        iv = [sum(a * x for a, x in zip(row, v0)) for row in power]
+    raise ArithmeticError(f"dense bracket wider than 2^-{bits} after {steps} steps")

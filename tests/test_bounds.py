@@ -2,12 +2,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ramseyprog import bounds
 from ramseyprog.bounds import (
-    TransferMatrix,
     alpha_semi,
     beta_quasi,
     beta_table,
@@ -26,7 +26,7 @@ from ramseyprog.bounds import (
 from ramseyprog.errors import ConvergenceError
 from ramseyprog.progressions import Family, pair_multiplicity
 
-from brute import floor_beta_n1_power, weighted_sums
+from brute import dense_perron_bracket, floor_beta_n1_power, weighted_sums
 
 
 def test_alpha_semi_values():
@@ -171,13 +171,13 @@ def test_charpoly_cross_check():
 
 
 def _near_diagonal(diagonal):
-    """A positive matrix whose eigenvalues all lie within 1/4 of the largest."""
+    """Rows of a positive matrix whose eigenvalues all lie within 1/4 of the
+    largest."""
     dim = len(diagonal)
-    entries = [
+    return [
         [Fraction(diagonal[i]) if i == j else Fraction(1, 1000) for j in range(dim)]
         for i in range(dim)
     ]
-    return TransferMatrix(2, dim - 1, entries)
 
 
 def test_charpoly_brackets_the_largest_root():
@@ -187,14 +187,42 @@ def test_charpoly_brackets_the_largest_root():
         ((3, Fraction(59, 20), Fraction(29, 10)), 3.0000303905212),
         ((3, Fraction(59, 20), Fraction(29, 10), Fraction(57, 20)), 3.0000374645489),
     ):
-        A = _near_diagonal(diagonal)
-        lam = lambda_max_by_charpoly(A)
-        lo, hi = perron_bracket(A, bits=60)
+        rows = _near_diagonal(diagonal)
+        lam = lambda_max_by_charpoly(SimpleNamespace(entries=rows))
+        lo, hi = dense_perron_bracket(rows, bits=60)
         assert lo - 1e-11 <= lam <= hi + 1e-11
         assert lam == pytest.approx(expected, abs=1e-12)
     # repeated roots (0 twice) at the first bisection midpoint
-    ones = TransferMatrix(2, 2, [[Fraction(1)] * 3] * 3)
+    ones = SimpleNamespace(entries=[[Fraction(1)] * 3] * 3)
     assert lambda_max_by_charpoly(ones) == pytest.approx(3.0, abs=1e-11)
+
+
+def test_structured_product_matches_dense_rows():
+    rng = random.Random(8)
+    for r in (2, 3, 5, 10):
+        for n in (0, 1, 2, 7, 30, 63):
+            A = transfer_matrix(r, n)
+            for _ in range(3):
+                vec = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+                dense = [sum(a * x for a, x in zip(row, vec)) for row in A.entries]
+                assert A.apply(vec) == dense, (r, n)
+
+
+def _assert_brackets_agree(r, n, bits):
+    lo, hi = perron_bracket(transfer_matrix(r, n), bits)
+    dense_lo, dense_hi = dense_perron_bracket(transfer_matrix(r, n).entries, bits)
+    assert 0 < lo <= hi and (hi - lo) * 2**bits <= lo, (r, n, bits)
+    assert lo <= dense_hi and dense_lo <= hi, (r, n, bits)
+
+
+def test_bracket_overlaps_the_dense_bracket():
+    for r in range(2, 11):
+        for n in range(1, 31):
+            _assert_brackets_agree(r, n, 48)
+    _assert_brackets_agree(2, 63, 48)
+    for r, n in ((2, 3), (3, 2), (5, 6), (10, 10)):
+        for bits in (120, 2000):
+            _assert_brackets_agree(r, n, bits)
 
 
 def test_beta_quasi_values():
@@ -306,6 +334,12 @@ def test_semi_bound_threshold_is_exact():
 def test_quasi_threshold_floor():
     res = beta_quasi(4, 1)
     assert res.threshold(10) == math.floor(res.base**10)
+
+
+def test_beta_table_is_fast():
+    start = time.perf_counter()
+    assert len(beta_table(10, 30)) == 270
+    assert time.perf_counter() - start < 1
 
 
 def test_beta_table_region():

@@ -3,10 +3,14 @@ import decimal
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ramseyprog
 from ramseyprog import bounds, cli
 from ramseyprog.cli import main
 from ramseyprog.progressions import Coloring, Family
@@ -297,6 +301,22 @@ def test_check_malformed_witness_exit_2(capsys, tmp_path):
     assert "error" in err
     code, _, _ = run(capsys, "check", str(tmp_path / "absent.txt"))
     assert code == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end closes before the child writes, as `| head -c 10` may
+    src = str(Path(ramseyprog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramseyprog", "table", "--r-max", "10",
+         "--n-max", "30", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_usage_errors_exit_2(capsys):
