@@ -31,7 +31,6 @@ from .progressions import (
     Coloring,
     Family,
     Progression,
-    chains_from,
     conjugate_vector,
     primary_progression,
     weight,
@@ -112,6 +111,9 @@ def progressions_from(
     """Every k-term progression with first term a and low-difference d inside
     [1, N], in ascending conjugate-vector order.
 
+    From the definition, sharing no code with the chain-length kernel that
+    the oracle checks: each prefix grows by every allowed gap, smallest
+    first, while its remaining terms still fit in [1, N] at the least gap.
     Generated for the given d directly (a term tuple can be valid under
     several low-differences, so filtering a mixed list would conflate them).
     """
@@ -119,7 +121,11 @@ def progressions_from(
         raise ValueError(f"first term {a} outside [1, {N}]")
     if d < 1:
         raise ValueError("low-difference must be a positive integer")
-    return tuple(chains_from((0,) * N, a, d, k, family))
+    gaps, chains = family.allowed_gaps(d), [(a,)]
+    for left in reversed(range(k - 1)):  # terms still to add after this one
+        chains = [t + (t[-1] + g,) for t in chains for g in gaps
+                  if t[-1] + g + left * gaps[0] <= N]
+    return tuple(chains)
 
 
 def count_mono_colorings(

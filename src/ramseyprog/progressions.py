@@ -19,7 +19,7 @@ Everything here is a pure function of its inputs; there is no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 SEMI = "semi"
 QUASI = "quasi"
@@ -261,16 +261,13 @@ def forced_elements(p: Progression) -> set:
     return out
 
 
-def fill_chains(
-    colors: Sequence[int], points: Iterable[int], columns: list, cap: int
-) -> bool:
+def fill_chains(colors: Sequence[int], points: Iterable[int], columns: list) -> None:
     """The chain-length kernel.  For each 0-based point i of ``points``, in
     order, and each (offsets, lengths) column, set lengths[i] to 1 + max
     lengths[i+s] over the offsets s that land inside ``colors`` on i's color.
     Backward offsets over ascending points give the longest monochromatic
     chain ending at each point; forward offsets over descending points, the
-    longest one starting there.  Return True, leaving the rest unfilled, as
-    soon as an entry reaches cap (a cap above len(colors) never stops it).
+    longest one starting there.
     """
     n = len(colors)
     for i in points:
@@ -283,10 +280,7 @@ def fill_chains(
                     break
                 if colors[j] == c and lengths[j] > best:
                     best = lengths[j]
-            lengths[i] = best = best + 1
-            if best >= cap:
-                return True
-    return False
+            lengths[i] = best + 1
 
 
 def chain_counts(
@@ -312,39 +306,6 @@ def chain_counts(
     return counts
 
 
-def chains_from(
-    colors: Sequence[int], a: int, d: int, k: int, family: Family
-) -> Iterator[Tuple[int, ...]]:
-    """Every k-term progression with first term a and low-difference d whose
-    terms all have a's color in ``colors`` (point i at index i-1), in
-    ascending conjugate-vector order.  The forward chain lengths for d come
-    first, so the walk only takes steps that can still be completed.
-    """
-    n = len(colors)
-    c = colors[a - 1]
-    gaps = tuple(family.allowed_gaps(d))
-    starting = [0] * n
-    # only a's color matters, and no chain from a passes a + (k-1) * max gap
-    last = min(n, a + (k - 1) * gaps[-1])
-    points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
-    fill_chains(colors, points, [(gaps, starting)], n + 1)
-    terms = [a]
-    untried = [iter(gaps)]
-    while terms:
-        need = k - len(terms)
-        if not need:
-            yield tuple(terms)
-        for g in untried[-1] if need else ():
-            j = terms[-1] + g
-            if j <= n and colors[j - 1] == c and starting[j - 1] >= need:
-                terms.append(j)
-                untried.append(iter(gaps))
-                break
-        else:
-            terms.pop()
-            untried.pop()
-
-
 def primary_progression(
     chi: Coloring, a: int, d: int, k: int, family: Family
 ) -> Optional[Progression]:
@@ -353,18 +314,38 @@ def primary_progression(
     None if no such monochromatic progression fits inside [1, N].
 
     Plain greedy on the coloring is wrong (the smallest feasible entry can
-    dead-end before k terms), so each step takes the smallest gap whose
-    forward chain is still long enough: that is the lexicographic minimum.
+    dead-end before k terms), so the forward chain lengths for d come first.
+    Each step then takes the smallest gap to a point whose chain still has
+    the terms left to place; one exists whenever the current point's chain
+    is long enough, so the walk never backtracks and gives the minimum.
     """
     if k < 2:
         raise ValueError("progressions need at least two terms")
     if d < 1:
         raise ValueError("low-difference must be a positive integer")
-    n_points = chi.n_points
-    if not 1 <= a <= n_points:
-        raise ValueError(f"first term {a} outside [1, {n_points}]")
-    terms = next(chains_from(chi.colors, a, d, k, family), None)
-    return None if terms is None else Progression(terms, d, family)
+    colors = chi.colors
+    n = len(colors)
+    if not 1 <= a <= n:
+        raise ValueError(f"first term {a} outside [1, {n}]")
+    c = colors[a - 1]
+    gaps = tuple(family.allowed_gaps(d))
+    starting = [0] * n
+    # only a's color matters, and no chain from a passes a + (k-1) * max gap
+    last = min(n, a + (k - 1) * gaps[-1])
+    points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
+    fill_chains(colors, points, [(gaps, starting)])
+    if starting[a - 1] < k:
+        return None
+    i, terms = a - 1, [a]
+    for need in range(k - 1, 0, -1):
+        # starting[i] > need, so some gap reaches a chain of need terms (only
+        # points of a's color have one) before the gaps leave [1, N]
+        for g in gaps:
+            if starting[i + g] >= need:
+                break
+        i += g
+        terms.append(i + 1)
+    return Progression(terms, d, family)
 
 
 def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progression]:
@@ -387,7 +368,7 @@ def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progre
         gaps = tuple(family.allowed_gaps(d))
         starting = [0] * n
         last = min(n, firsts + (k - 1) * gaps[-1])
-        fill_chains(chi.colors, range(last - 1, -1, -1), [(gaps, starting)], n + 1)
+        fill_chains(chi.colors, range(last - 1, -1, -1), [(gaps, starting)])
         a = next((a for a in range(firsts) if starting[a] >= k), None)
         if a is not None:
             best_d, firsts = d, a

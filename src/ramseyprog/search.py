@@ -2,15 +2,15 @@
 
 The exact route extends partial colorings left to right by an iterative
 depth-first search.  Coloring a point fills its row of the chain-length
-table (progressions.fill_chains), and a color is rejected as soon as a
-monochromatic chain ending there reaches k terms.  A forward check looks
-one step further: a chain of k - 1 terms ending at the new point blocks its
-color at every later point one allowed gap away, kept as one color bitmask
-per point with an undo log per level, and a point with every color blocked
-rejects the prefix.  Each N resumes on the path of the first valid coloring
-w of [1, N-1]: the first valid coloring of [1, N] restricts to a valid
-coloring of [1, N-1], so it is not below w in the search order.  Once the
-search rejects a color it has left w's path, and every deeper level
+table (progressions.fill_chains), and a chain of k - 1 terms ending there
+blocks its color at every later point one allowed gap away, kept as one
+color bitmask per point with an undo log per level.  That forward check is
+the one completion test: a color is rejected where it is blocked, since it
+would end a monochromatic k-term chain there, and a point with every color
+blocked rejects the prefix.  Each N resumes on the path of the first valid
+coloring w of [1, N-1]: the first valid coloring of [1, N] restricts to a
+valid coloring of [1, N-1], so it is not below w in the search order.  Once
+the search rejects a color it has left w's path, and every deeper level
 restarts from color 0.  When the search exhausts all colorings of [1, N]
 without finding a valid one, every coloring of [1, N] contains a
 monochromatic progression and N is the threshold.  The
@@ -140,8 +140,9 @@ def _find_valid_coloring(
     chain ending at i has k - 1 terms, every later point one allowed gap
     away is blocked for c.  blocked[j] is a bitmask of the colors blocked at
     point j, and blocks[i] lists the points whose mask level i set, so that
-    trying another color at i undoes them.  A point with every color
-    blocked cannot be colored, so the prefix is rejected.
+    trying another color at i undoes them.  This is the one completion test:
+    c ends a k-term chain at i exactly when c is blocked there, and a point
+    with every color blocked cannot be colored, so the prefix is rejected.
     """
     colors = [0] * N
     columns = [  # per low-difference: backward gap offsets, chain lengths
@@ -173,9 +174,9 @@ def _find_valid_coloring(
         next_color[i] = c + 1
         meter.tick()
         colors[i] = c
-        # a blocked color completes a chain: fill_chains would reject it
-        dead = blocked[i] >> c & 1 or fill_chains(colors, (i,), columns, k)
+        dead = blocked[i] >> c & 1
         if not dead:
+            fill_chains(colors, (i,), columns)
             dead = _block_ahead(i, 1 << c, columns, k, blocked, full, undo)
         if not dead:
             top[i + 1] = max(top[i], c)
@@ -337,14 +338,17 @@ def read_witness(path: str) -> Tuple[Coloring, int, Family]:
         raise WitnessFormatError(f"bad witness header: {exc}") from exc
     if not isinstance(header, dict):
         raise WitnessFormatError("witness header must be a JSON object")
-    missing = {"family", "param", "r", "k", "n_points"} - header.keys()
+    fields = ("param", "r", "k", "n_points")
+    missing = {"family", *fields} - header.keys()
     if missing:
         raise WitnessFormatError(f"witness header missing {sorted(missing)}")
+    # type(), not isinstance: JSON true and false load as bools, a kind of int
+    wrong = [f for f in fields if type(header[f]) is not int]
+    if wrong:
+        raise WitnessFormatError(f"witness header fields {wrong} must be JSON integers")
+    param, r, k, n_points = (header[f] for f in fields)
     try:
-        family = Family(header["family"], int(header["param"]))
-        r = int(header["r"])
-        k = int(header["k"])
-        n_points = int(header["n_points"])
+        family = Family(header["family"], param)
         chi = Coloring.from_digits(digit_line, r)
     except (ValueError, TypeError) as exc:
         raise WitnessFormatError(f"bad witness contents: {exc}") from exc

@@ -18,7 +18,7 @@ from ramseyprog.oracle import (
 )
 from ramseyprog.progressions import Coloring, Family, find_monochromatic
 
-from brute import mono_count
+from brute import mono_count, mono_with_first
 
 SEMI1 = Family.semi(1)
 SEMI2 = Family.semi(2)
@@ -36,6 +36,16 @@ def test_all_progressions_small():
         progressions_from(5, 3, SEMI1, 1, 0)
     with pytest.raises(ValueError):
         all_progressions(5, 1, SEMI1)
+    # the definition-level list equals brute's, tuple for tuple and in order,
+    # for every first term and low-difference that fit
+    families = [Family.semi(m) for m in (1, 2, 3)] + [Family.quasi(n) for n in (0, 1, 2)]
+    for fam in families:
+        for k in range(2, 6):
+            for N in range(1, 15):
+                for a in range(1, N + 1):
+                    for d in range(1, N):
+                        want = mono_with_first([0] * N, a, d, k, fam.kind, fam.param)
+                        assert progressions_from(N, k, fam, a, d) == tuple(want)
 
 
 def test_progression_masks_dedupe():
@@ -114,6 +124,22 @@ def test_count_pinned():
     ):
         rep = count_mono_colorings(r, N, k, fam)
         assert (rep.mono_count, rep.total) == (expected, r**N)
+
+
+def test_count_confirms_exact_thresholds():
+    # a second proof of values that exact search finds (test_search pins
+    # them): the walk shares no code with the search, every coloring of
+    # [1, v] holds a monochromatic progression, and the valid colorings of
+    # [1, v - 1] are counted
+    budget = OracleBudget(max_points=40, max_colorings=2**40)
+    for r, k, fam, v, valid in [
+        (2, 4, SEMI1, 35, 28),
+        (2, 5, SEMI2, 33, 20),
+        (2, 5, Family.quasi(1), 33, 88),
+    ]:
+        assert count_mono_colorings(r, v, k, fam, budget).mono_count == r**v
+        below = count_mono_colorings(r, v - 1, k, fam, budget)
+        assert below.total - below.mono_count == valid
 
 
 def test_budget_refusal():

@@ -268,12 +268,15 @@ def test_primary_progression_matches_brute_force():
     families = [Family.semi(m) for m in (1, 2, 3)] + [
         Family.quasi(n) for n in (0, 1, 2)
     ]
-    agreements = 0
-    for _ in range(800):
-        N = rng.randint(3, 12)
-        chi = Coloring(tuple(rng.randint(0, 1) for _ in range(N)), 2)
+    agreements = long_agreements = 0
+    # 800 draws each of (r, largest N, largest k): short 2-colorings, then
+    # 3-colorings and 2-colorings with longer progressions on wider intervals
+    draws = [(2, 12, 4), (3, 30, 6), (2, 30, 6)]
+    for r, max_n, max_k in (draw for draw in draws for _ in range(800)):
+        N = rng.randint(3, max_n)
+        chi = Coloring(tuple(rng.randrange(r) for _ in range(N)), r)
         fam = rng.choice(families)
-        k = rng.randint(2, 4)
+        k = rng.randint(2, max_k)
         a = rng.randint(1, N)
         d = rng.randint(1, 3)
         got = primary_progression(chi, a, d, k, fam)
@@ -283,7 +286,8 @@ def test_primary_progression_matches_brute_force():
         else:
             assert got is not None and got.terms == want
             agreements += 1
-    assert agreements > 100
+            long_agreements += k >= 5
+    assert agreements > 100 and long_agreements > 10
 
 
 def test_primary_forcing_property():

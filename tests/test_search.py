@@ -239,6 +239,13 @@ def test_witness_format_errors(tmp_path):
     attempt('{"family": "cubic", "param": 1, "r": 2, "k": 3, "n_points": 4}\n0101\n')
     attempt('{"family": "semi", "param": 1, "r": 2, "k": 1, "n_points": 4}\n0101\n')
     attempt('{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 0}\n\n')
+    # header numbers must be JSON integers: no floats, strings or bools
+    attempt('{"family": "semi", "param": true, "r": 2.7, "k": 3, "n_points": 3}\n010\n')
+    attempt('{"family": "semi", "param": 1, "r": 2, "k": "3", "n_points": 3}\n010\n')
+    attempt('{"family": "semi", "param": 1, "r": 2.0, "k": 3, "n_points": 3}\n010\n')
+    attempt('{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 3.0}\n010\n')
+    attempt('{"family": "quasi", "param": false, "r": 2, "k": 3, "n_points": 3}\n010\n')
+    attempt('{"family": "semi", "param": 1, "r": true, "k": 3, "n_points": 3}\n010\n')
     with pytest.raises(WitnessFormatError):
         read_witness(str(tmp_path / "missing.txt"))
 
