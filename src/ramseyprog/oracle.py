@@ -117,6 +117,8 @@ def progressions_from(
     Generated for the given d directly (a term tuple can be valid under
     several low-differences, so filtering a mixed list would conflate them).
     """
+    if k < 2:
+        raise ValueError("need at least 2 terms")
     if not 1 <= a <= N:
         raise ValueError(f"first term {a} outside [1, {N}]")
     if d < 1:

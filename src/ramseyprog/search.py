@@ -1,21 +1,16 @@
 """Exact Ramsey thresholds at small parameters, plus randomized witnesses.
 
-The exact route extends partial colorings left to right by an iterative
-depth-first search.  Coloring a point fills its row of the chain-length
-table (progressions.fill_chains), and a chain of k - 1 terms ending there
-blocks its color at every later point one allowed gap away, kept as one
-color bitmask per point with an undo log per level.  That forward check is
-the one completion test: a color is rejected where it is blocked, since it
-would end a monochromatic k-term chain there, and a point with every color
-blocked rejects the prefix.  Each N resumes on the path of the first valid
-coloring w of [1, N-1]: the first valid coloring of [1, N] restricts to a
-valid coloring of [1, N-1], so it is not below w in the search order.  Once
-the search rejects a color it has left w's path, and every deeper level
-restarts from color 0.  When the search exhausts all colorings of [1, N]
-without finding a valid one, every coloring of [1, N] contains a
-monochromatic progression and N is the threshold.  The
-randomized route exhibits valid colorings at sizes where exhaustive proof
-is pointless: random start, then local repair on detected progressions.
+The exact route is one iterative depth-first search over partial colorings,
+left to right, whose depth record is the threshold.  It always seeks a
+valid coloring one point longer than the longest found so far, filling
+the chain-length table (progressions.fill_chains) as it colors, and a
+forward check rejects a color at a point where it would end a
+monochromatic k-term chain.  When the search is exhausted, every coloring
+of [1, N] contains a monochromatic progression and N is the threshold.
+
+The randomized route exhibits valid colorings at sizes where exhaustive
+proof is pointless: random start, then local repair on detected
+progressions.
 
 Both routes emit re-verifiable artifacts: a ThresholdCertificate carries a
 maximal witness coloring, and check_witness re-validates any coloring with
@@ -27,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import BudgetExceededError, WitnessFormatError
 from .progressions import (
@@ -73,19 +68,6 @@ class ThresholdCertificate:
     exhaustive: bool
 
 
-class _NodeMeter:
-    """Cumulative node counter that raises once the cap is crossed."""
-
-    def __init__(self, cap: int):
-        self.count = 0
-        self.cap = cap
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.cap:
-            raise BudgetExceededError(f"node budget {self.cap} exhausted")
-
-
 def _block_ahead(
     i: int,
     bit: int,
@@ -115,12 +97,17 @@ def _block_ahead(
     return False
 
 
-def _find_valid_coloring(
-    r: int, N: int, k: int, family: Family, meter: _NodeMeter, start: Sequence[int]
-) -> Optional[Tuple[int, ...]]:
-    """The first coloring of [1, N], in canonical order, with no
-    monochromatic k-term progression, or None after exhausting the
-    (symmetry-reduced) space.
+def exact_threshold(
+    r: int, k: int, family: Family, budget: SearchBudget = SearchBudget()
+) -> ThresholdCertificate:
+    """The least N such that every r-coloring of [1, N] contains a
+    monochromatic k-term progression of the family.
+
+    Below k no progression fits, so the search starts at N = k.  Each time
+    it first completes a valid coloring of [1, N], that coloring is the
+    witness and N grows by one; once it is exhausted, N is the value.  On
+    budget exhaustion raises BudgetExceededError whose ``partial`` field
+    carries the best lower-bound certificate (exhaustive=False).
 
     Colors are tried in ascending order and a color may exceed the largest
     used so far by at most one, so exactly one representative per
@@ -129,13 +116,6 @@ def _find_valid_coloring(
     try at 0-based point i, top[i] the largest color before it.  A chain
     table row depends only on earlier rows, so backtracking keeps them valid.
 
-    ``start`` is the first valid coloring of a shorter interval.  Every
-    valid coloring of [1, N] restricts to a valid one there, which is at
-    least ``start`` in this order, so the search begins on start's path.
-    Once the search rejects a color (below), it has left that path, and
-    every deeper level restarts from color 0: a level not yet entered would
-    otherwise still hold start's color and skip the colors below it.
-
     Forward check: when point i gets color c and some low-difference's
     chain ending at i has k - 1 terms, every later point one allowed gap
     away is blocked for c.  blocked[j] is a bitmask of the colors blocked at
@@ -143,15 +123,35 @@ def _find_valid_coloring(
     trying another color at i undoes them.  This is the one completion test:
     c ends a k-term chain at i exactly when c is blocked there, and a point
     with every color blocked cannot be colored, so the prefix is rejected.
+
+    Growing N keeps the search order: every coloring of [1, N] before the
+    witness is invalid, and so is each of its extensions.  Growth adds a
+    row to every table, fills a new low-difference's column along the
+    path, and reruns each level's forward check, which logs only the new
+    point's blocks; the search goes on at the new point.
     """
+    if k < 2:
+        raise ValueError("need at least 2 terms")
+    if r < 2:
+        raise ValueError("need at least 2 colors")
+    nodes = 0
+    witness = Coloring((0,) * (k - 1), r)
+
+    def partial() -> ThresholdCertificate:
+        return ThresholdCertificate(
+            family, r, k, witness.n_points + 1, witness, nodes, False
+        )
+
+    N = k
+    if N > budget.max_length:
+        raise BudgetExceededError(
+            f"threshold exceeds max_length={budget.max_length}", partial=partial()
+        )
     colors = [0] * N
-    columns = [  # per low-difference: backward gap offsets, chain lengths
-        (tuple(-g for g in family.allowed_gaps(d)), [0] * N)
-        for d in range(1, (N - 1) // (k - 1) + 1)
-    ]
+    # one column per low-difference d with (k - 1) * d <= N - 1: backward
+    # gap offsets, chain lengths; at N = k only d = 1 fits
+    columns = [(tuple(-g for g in family.allowed_gaps(1)), [0] * N)]
     next_color = [0] * N
-    next_color[: len(start)] = start
-    on_start_path = True
     top = [-1] * (N + 1)
     full = (1 << r) - 1
     blocked = [0] * N
@@ -159,7 +159,27 @@ def _find_valid_coloring(
     i = 0
     while i >= 0:
         if i == N:
-            return tuple(colors)
+            witness = Coloring(colors, r)
+            N += 1
+            if N > budget.max_length:
+                raise BudgetExceededError(
+                    f"threshold exceeds max_length={budget.max_length}",
+                    partial=partial(),
+                )
+            for table in (colors, next_color, blocked):
+                table.append(0)
+            top.append(-1)
+            blocks.append([])
+            for _, lengths in columns:
+                lengths.append(0)
+            d = len(columns) + 1
+            if (k - 1) * d <= N - 1:
+                column = (tuple(-g for g in family.allowed_gaps(d)), [0] * N)
+                fill_chains(colors, range(i), [column])
+                columns.append(column)
+            for j in range(i):
+                _block_ahead(j, 1 << colors[j], columns, k, blocked, full, blocks[j])
+            continue
         undo = blocks[i]
         if undo:
             bit = 1 << colors[i]
@@ -172,61 +192,18 @@ def _find_valid_coloring(
             i -= 1
             continue
         next_color[i] = c + 1
-        meter.tick()
-        colors[i] = c
-        dead = blocked[i] >> c & 1
-        if not dead:
-            fill_chains(colors, (i,), columns)
-            dead = _block_ahead(i, 1 << c, columns, k, blocked, full, undo)
-        if not dead:
-            top[i + 1] = max(top[i], c)
-            i += 1
-        elif on_start_path:
-            next_color[i + 1 :] = [0] * (N - i - 1)
-            on_start_path = False
-    return None
-
-
-def exact_threshold(
-    r: int, k: int, family: Family, budget: SearchBudget = SearchBudget()
-) -> ThresholdCertificate:
-    """The least N such that every r-coloring of [1, N] contains a
-    monochromatic k-term progression of the family.
-
-    Raises N starting from k (below k no progression fits, so every
-    coloring is vacuously valid) until the backtracking search proves no
-    valid coloring of [1, N] exists; that N is the value and the last
-    valid coloring found is the witness.  On budget exhaustion raises
-    BudgetExceededError whose ``partial`` field carries the best
-    lower-bound certificate (exhaustive=False).
-    """
-    if k < 2:
-        raise ValueError("need at least 2 terms")
-    if r < 2:
-        raise ValueError("need at least 2 colors")
-    meter = _NodeMeter(budget.max_nodes)
-    witness = Coloring((0,) * (k - 1), r)
-
-    def partial() -> ThresholdCertificate:
-        return ThresholdCertificate(
-            family, r, k, witness.n_points + 1, witness, meter.count, False
-        )
-
-    N = k
-    while True:
-        if N > budget.max_length:
+        nodes += 1
+        if nodes > budget.max_nodes:
             raise BudgetExceededError(
-                f"threshold exceeds max_length={budget.max_length}", partial=partial()
+                f"node budget {budget.max_nodes} exhausted", partial=partial()
             )
-        try:
-            found = _find_valid_coloring(r, N, k, family, meter, witness.colors)
-        except BudgetExceededError as exc:
-            exc.partial = partial()
-            raise
-        if found is None:
-            return ThresholdCertificate(family, r, k, N, witness, meter.count, True)
-        witness = Coloring(found, r)
-        N += 1
+        colors[i] = c
+        if not blocked[i] >> c & 1:
+            fill_chains(colors, (i,), columns)
+            if not _block_ahead(i, 1 << c, columns, k, blocked, full, undo):
+                top[i + 1] = max(top[i], c)
+                i += 1
+    return ThresholdCertificate(family, r, k, N, witness, nodes, True)
 
 
 def check_witness(chi: Coloring, k: int, family: Family) -> bool:

@@ -48,6 +48,21 @@ def test_all_progressions_small():
                         assert progressions_from(N, k, fam, a, d) == tuple(want)
 
 
+def test_fewer_than_two_terms_refused_before_any_sweep(monkeypatch):
+    # a "progression" of one term or none is no progression: it must be
+    # refused up front, not after sweeping all r^N colorings
+    def sweep(*args):
+        raise AssertionError("swept colorings")
+
+    monkeypatch.setattr(oracle, "_primaries", sweep)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 terms"):
+            progressions_from(5, k, SEMI1, 1, 1)
+        for check in (primary_partition_check, forced_count_check):
+            with pytest.raises(ValueError, match="at least 2 terms"):
+                check(2, 5, k, SEMI1, 1, 1)
+
+
 def test_progression_masks_dedupe():
     # (1,3,5) arises with d=1 (gaps 2,2) and d=2 (gaps 2,2 at scope 1)
     progs = all_progressions(6, 3, SEMI2)
@@ -131,11 +146,12 @@ def test_count_confirms_exact_thresholds():
     # them): the walk shares no code with the search, every coloring of
     # [1, v] holds a monochromatic progression, and the valid colorings of
     # [1, v - 1] are counted
-    budget = OracleBudget(max_points=40, max_colorings=2**40)
+    budget = OracleBudget(max_points=40, max_colorings=3**27)
     for r, k, fam, v, valid in [
         (2, 4, SEMI1, 35, 28),
         (2, 5, SEMI2, 33, 20),
         (2, 5, Family.quasi(1), 33, 88),
+        (3, 3, SEMI1, 27, 48),
     ]:
         assert count_mono_colorings(r, v, k, fam, budget).mono_count == r**v
         below = count_mono_colorings(r, v - 1, k, fam, budget)

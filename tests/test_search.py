@@ -8,8 +8,6 @@ from ramseyprog.progressions import Coloring, Family, find_monochromatic
 from ramseyprog.search import (
     SearchBudget,
     ThresholdCertificate,
-    _find_valid_coloring,
-    _NodeMeter,
     check_witness,
     exact_threshold,
     random_witness_search,
@@ -72,9 +70,9 @@ def test_exact_threshold_node_counts_pinned():
     # node counts are deterministic: they pin the search order, the
     # symmetry reduction and the rejection test exactly
     for r, k, fam, value, nodes in [
-        (2, 4, SEMI1, 35, 7_656),
-        (2, 5, SEMI2, 33, 15_869),
-        (2, 5, Family.quasi(1), 33, 26_100),
+        (2, 4, SEMI1, 35, 7_115),
+        (2, 5, SEMI2, 33, 15_373),
+        (2, 5, Family.quasi(1), 33, 25_599),
     ]:
         cert = exact_threshold(r, k, fam)
         assert (cert.value, cert.nodes_explored) == (value, nodes)
@@ -86,16 +84,21 @@ def test_exact_threshold_node_counts_pinned():
     (3, 3, "semi", 2), (3, 3, "quasi", 1),
 ])
 def test_resumed_search_finds_the_first_valid_coloring(r, k, kind, param):
-    # resuming at the last witness and the forward check skip only
-    # colorings that the plain depth-first search of brute.py rejects, up
-    # to and including the threshold, where both find none
+    # growing N on the path of the last witness and the forward check skip
+    # only colorings that the plain depth-first search of brute.py rejects,
+    # up to and including the threshold, where both find none
     family = Family(kind, param)
-    start, N = (0,) * (k - 1), k
-    while start is not None:
-        want = first_valid_coloring(r, N, k, kind, param)
-        got = _find_valid_coloring(r, N, k, family, _NodeMeter(10**9), start)
-        assert got == want, N
-        start, N = want, N + 1
+    want, N = (0,) * (k - 1), k
+    while True:
+        got = first_valid_coloring(r, N, k, kind, param)
+        if got is None:
+            break
+        with pytest.raises(BudgetExceededError) as err:
+            exact_threshold(r, k, family, SearchBudget(max_length=N))
+        assert err.value.partial.witness.colors == got, N
+        want, N = got, N + 1
+    cert = exact_threshold(r, k, family)
+    assert (cert.value, cert.witness.colors) == (N, want)
 
 
 def _blocks_every_color(prefix, N, r, k, kind, param):
@@ -109,8 +112,9 @@ def _blocks_every_color(prefix, N, r, k, kind, param):
 
 def test_forward_check_prunes_the_resumed_path():
     # the forward check rejects the first `cut` points of the last witness
-    # w, while a later point of w has a nonzero color: the search must
-    # restart the levels after the cut from color 0, or it skips colorings
+    # w, while a later point of w has a nonzero color: the search, grown on
+    # w's path, must back out to the cut and retry the levels after it from
+    # color 0, or it skips colorings
     for r, k, kind, param, N, cut in [
         (2, 4, "semi", 1, 25, 21),
         (3, 3, "semi", 2, 15, 12),
@@ -119,8 +123,11 @@ def test_forward_check_prunes_the_resumed_path():
         assert _blocks_every_color(w[:cut], N, r, k, kind, param)
         assert not _blocks_every_color(w[:cut - 1], N, r, k, kind, param)
         assert any(w[cut:])
-        got = _find_valid_coloring(r, N, k, Family(kind, param), _NodeMeter(10**9), w)
-        assert got == first_valid_coloring(r, N, k, kind, param)
+        with pytest.raises(BudgetExceededError) as err:
+            exact_threshold(r, k, Family(kind, param), SearchBudget(max_length=N))
+        assert err.value.partial.witness.colors == first_valid_coloring(
+            r, N, k, kind, param
+        )
 
 
 def test_exact_threshold_budget_exhaustion():
