@@ -34,7 +34,7 @@ import sys
 from typing import List, Optional
 
 from .bounds import beta_quasi, beta_table, semi_bound
-from .errors import BudgetExceededError, ConvergenceError, WitnessFormatError
+from .errors import BudgetExceededError, ConvergenceError
 from .oracle import (
     CountReport,
     OracleBudget,
@@ -281,8 +281,6 @@ def cmd_search(args) -> int:
         try:
             cert = exact_threshold(args.r, args.k, family, budget)
         except BudgetExceededError as exc:
-            if exc.partial is None:
-                raise
             cert, code = exc.partial, 3
             payload = dict(_cert_payload(cert), error=str(exc))
             lines = [
@@ -483,9 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 141
     except (BudgetExceededError, ConvergenceError) as exc:
         return fail(exc, 3)
-    except WitnessFormatError as exc:
-        return fail(exc, 2)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # WitnessFormatError is a ValueError
         return fail(exc, 2)
 
 

@@ -19,7 +19,7 @@ Everything here is a pure function of its inputs; there is no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 SEMI = "semi"
 QUASI = "quasi"
@@ -281,29 +281,6 @@ def fill_chains(colors: Sequence[int], points: Iterable[int], columns: list) -> 
                 if colors[j] == c and lengths[j] > best:
                     best = lengths[j]
             lengths[i] = best + 1
-
-
-def chain_counts(
-    colors: Sequence[int], i: int, c: int, offsets: Sequence[int], steps: int
-) -> List[int]:
-    """The counting form of fill_chains: entry t is the number of chains of
-    t steps from 0-based point i, each step one of the signed offsets, that
-    visit only points of color c (i itself excluded), for t = 0..steps."""
-    n = len(colors)
-    layer = {i: 1}
-    counts = [1]
-    for _ in range(steps):
-        reached: dict = {}
-        for q, ways in layer.items():
-            for s in offsets:
-                j = q + s
-                if not 0 <= j < n:
-                    break
-                if colors[j] == c:
-                    reached[j] = reached.get(j, 0) + ways
-        layer = reached
-        counts.append(sum(reached.values()))
-    return counts
 
 
 def primary_progression(

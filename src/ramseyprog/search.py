@@ -1,12 +1,14 @@
 """Exact Ramsey thresholds at small parameters, plus randomized witnesses.
 
 The exact route is one iterative depth-first search over partial colorings,
-left to right, whose depth record is the threshold.  It always seeks a
-valid coloring one point longer than the longest found so far, filling
-the chain-length table (progressions.fill_chains) as it colors, and a
-forward check rejects a color at a point where it would end a
-monochromatic k-term chain.  When the search is exhausted, every coloring
-of [1, N] contains a monochromatic progression and N is the threshold.
+left to right, whose depth record is the threshold.  It starts at k - 1
+points, where no progression fits, and always seeks a valid coloring one
+point longer than the longest found so far, so every N from k on is
+entered by the same growth step.  It fills the chain-length table
+(progressions.fill_chains) as it colors, and a forward check rejects a
+color at a point where it would end a monochromatic k-term chain.  When
+the search is exhausted, every coloring of [1, N] contains a
+monochromatic progression and N is the threshold.
 
 The randomized route exhibits valid colorings at sizes where exhaustive
 proof is pointless: random start, then local repair on detected
@@ -28,7 +30,6 @@ from .errors import BudgetExceededError, WitnessFormatError
 from .progressions import (
     Coloring,
     Family,
-    chain_counts,
     fill_chains,
     find_monochromatic,
 )
@@ -103,8 +104,9 @@ def exact_threshold(
     """The least N such that every r-coloring of [1, N] contains a
     monochromatic k-term progression of the family.
 
-    Below k no progression fits, so the search starts at N = k.  Each time
-    it first completes a valid coloring of [1, N], that coloring is the
+    Below k no progression fits, so the search starts at N = k - 1 with no
+    chain column, and every N from k on is entered by growth.  Each time it
+    first completes a valid coloring of [1, N], that coloring is the
     witness and N grows by one; once it is exhausted, N is the value.  On
     budget exhaustion raises BudgetExceededError whose ``partial`` field
     carries the best lower-bound certificate (exhaustive=False).
@@ -127,8 +129,9 @@ def exact_threshold(
     Growing N keeps the search order: every coloring of [1, N] before the
     witness is invalid, and so is each of its extensions.  Growth adds a
     row to every table, fills a new low-difference's column along the
-    path, and reruns each level's forward check, which logs only the new
-    point's blocks; the search goes on at the new point.
+    path (d = 1 on reaching N = k), and reruns each level's forward check,
+    which logs only the new point's blocks; the search goes on at the new
+    point.
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
@@ -142,15 +145,16 @@ def exact_threshold(
             family, r, k, witness.n_points + 1, witness, nodes, False
         )
 
-    N = k
-    if N > budget.max_length:
+    # refused before the all-zero prefix of k - 1 points, so with 0 nodes
+    if k > budget.max_length:
         raise BudgetExceededError(
             f"threshold exceeds max_length={budget.max_length}", partial=partial()
         )
+    N = k - 1
     colors = [0] * N
     # one column per low-difference d with (k - 1) * d <= N - 1: backward
-    # gap offsets, chain lengths; at N = k only d = 1 fits
-    columns = [(tuple(-g for g in family.allowed_gaps(1)), [0] * N)]
+    # gap offsets, chain lengths
+    columns: list = []
     next_color = [0] * N
     top = [-1] * (N + 1)
     full = (1 << r) - 1
@@ -219,16 +223,32 @@ def _mono_through_count(
     monochromatic if p had color c (all other terms already colored c).
 
     Used by the repair step to score candidate colors when r > 2.  Splits
-    each progression at p: for every low-difference, the counting form of
-    the chain table (progressions.chain_counts) gives the number of c-colored
-    chains of each length backward and forward from p, and the two are
-    combined over all splits.
+    each progression at p: for every low-difference and each side of p, a
+    layered walk counts the chains of t steps from p, each step one allowed
+    gap, that visit only points of color c, for t = 0..k-1; the two sides
+    are combined over all splits.
     """
+    n = len(colors)
     total = 0
-    for d in range(1, (len(colors) - 1) // (k - 1) + 1):
+    for d in range(1, (n - 1) // (k - 1) + 1):
         gaps = tuple(family.allowed_gaps(d))
-        back = chain_counts(colors, p - 1, c, tuple(-g for g in gaps), k - 1)
-        fwd = chain_counts(colors, p - 1, c, gaps, k - 1)
+        sides = []
+        for offsets in (tuple(-g for g in gaps), gaps):
+            layer = {p - 1: 1}
+            counts = [1]
+            for _ in range(k - 1):
+                reached: dict = {}
+                for q, ways in layer.items():
+                    for s in offsets:
+                        j = q + s
+                        if not 0 <= j < n:
+                            break
+                        if colors[j] == c:
+                            reached[j] = reached.get(j, 0) + ways
+                layer = reached
+                counts.append(sum(reached.values()))
+            sides.append(counts)
+        back, fwd = sides
         total += sum(b * f for b, f in zip(back, reversed(fwd)))
     return total
 

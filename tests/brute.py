@@ -54,6 +54,42 @@ def mono_with_first(colors, a, d, k, kind, param):
     return out
 
 
+def longest_chain(colors, p, d, kind, param, ending):
+    """Terms in the longest chain of points colored like p, each gap allowed
+    for low-difference d, that ends at p (ending) or starts at p, by trying
+    every gap tuple of each length.  Dropping the far end of a chain leaves
+    a shorter one, so the first length with no chain stops the search."""
+    N = len(colors)
+    sign = -1 if ending else 1
+    for t in range(1, N):
+        for gaps in product(allowed_gaps(kind, param, d), repeat=t):
+            terms = [p]
+            for g in gaps:
+                terms.append(terms[-1] + sign * g)
+            if 1 <= terms[-1] <= N and all(colors[q - 1] == colors[p - 1] for q in terms):
+                break
+        else:
+            return t
+    return N
+
+
+def mono_through(colors, p, c, k, kind, param):
+    """Number of (low-difference, k-term progression) pairs that have p as a
+    term and every other term colored c, by trying every low-difference,
+    first term and gap tuple."""
+    N = len(colors)
+    count = 0
+    for d in range(1, N):
+        for a in range(1, p + 1):
+            for gaps in product(allowed_gaps(kind, param, d), repeat=k - 1):
+                terms = [a]
+                for g in gaps:
+                    terms.append(terms[-1] + g)
+                if terms[-1] <= N and p in terms:
+                    count += all(colors[t - 1] == c for t in terms if t != p)
+    return count
+
+
 def lexmin_primary(colors, a, d, k, kind, param):
     """The monochromatic (a, d) progression with lex-least conjugate vector."""
     cands = mono_with_first(colors, a, d, k, kind, param)

@@ -342,20 +342,32 @@ def test_invalid_values_exit_2(capsys):
 # before cmd_search was folded into one output tail; the exact-search node
 # count and node-budget partial are those of the single threshold DFS
 SEARCH_TAILS = [
-    (["exact", "--k", "3"], 0,
-     "value = 9\nwitness (length 8) = 00110011\nnodes explored = 45\n"
-     "exhaustive = true\n",
-     '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n'),
-    (["exact", "--k", "4", "--max-nodes", "50"], 3,
-     "budget exhausted: node budget 50 exhausted\nbest lower bound: value >= 19\n"
-     "witness (length 18) = 000100101011010001\n",
-     '{"family": "semi", "param": 1, "r": 2, "k": 4, "n_points": 18}\n'
-     '000100101011010001\n'),
-    (["witness", "--N", "8", "--k", "3", "--seed", "3"], 0,
-     "witness (length 8) = 00110011\n",
-     '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n'),
-    (["witness", "--N", "9", "--k", "3", "--max-nodes", "400", "--restarts", "4"], 3,
-     "no witness found for N=9 within budget\n", None),
+    pytest.param(
+        ["exact", "--k", "3"], 0,
+        "value = 9\nwitness (length 8) = 00110011\nnodes explored = 45\n"
+        "exhaustive = true\n",
+        '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n',
+        id="exact-k3",
+    ),
+    pytest.param(
+        ["exact", "--k", "4", "--max-nodes", "50"], 3,
+        "budget exhausted: node budget 50 exhausted\nbest lower bound: value >= 19\n"
+        "witness (length 18) = 000100101011010001\n",
+        '{"family": "semi", "param": 1, "r": 2, "k": 4, "n_points": 18}\n'
+        '000100101011010001\n',
+        id="exact-node-budget",
+    ),
+    pytest.param(
+        ["witness", "--N", "8", "--k", "3", "--seed", "3"], 0,
+        "witness (length 8) = 00110011\n",
+        '{"family": "semi", "param": 1, "r": 2, "k": 3, "n_points": 8}\n00110011\n',
+        id="witness-found",
+    ),
+    pytest.param(
+        ["witness", "--N", "9", "--k", "3", "--max-nodes", "400", "--restarts", "4"], 3,
+        "no witness found for N=9 within budget\n", None,
+        id="witness-not-found",
+    ),
 ]
 
 

@@ -8,6 +8,7 @@ from ramseyprog.progressions import (
     Family,
     Progression,
     conjugate_vector,
+    fill_chains,
     find_monochromatic,
     forced_elements,
     frequency_vector,
@@ -17,7 +18,7 @@ from ramseyprog.progressions import (
     weight,
 )
 
-from brute import lexmin_primary
+from brute import lexmin_primary, longest_chain
 
 SEMI3 = Family.semi(3)
 WORKED_TERMS = (17, 32, 42, 47, 62, 72)
@@ -343,3 +344,33 @@ def test_find_monochromatic_matches_brute_force():
             assert validate_progression(got.terms, got.low_difference, fam)
             base = chi.color_of(got.terms[0])
             assert all(chi.color_of(t) == base for t in got.terms)
+
+
+def test_fill_chains_matches_brute_force():
+    # every low-difference's column at once, backward offsets over ascending
+    # points and forward offsets over descending points
+    rng = random.Random(108)
+    families = [Family.semi(m) for m in (1, 2, 3)] + [
+        Family.quasi(n) for n in (0, 1, 2)
+    ]
+    long_chains = 0
+    for _ in range(400):
+        r = rng.choice((2, 3))
+        N = rng.randint(1, 11)
+        colors = [rng.randrange(r) for _ in range(N)]
+        fam = rng.choice(families)
+        ds = range(1, max(N, 2))
+        gaps = [tuple(fam.allowed_gaps(d)) for d in ds]
+        ending = [(tuple(-g for g in gs), [0] * N) for gs in gaps]
+        starting = [(gs, [0] * N) for gs in gaps]
+        fill_chains(colors, range(N), ending)
+        fill_chains(colors, range(N - 1, -1, -1), starting)
+        for d, (_, back), (_, fwd) in zip(ds, ending, starting):
+            for p in range(1, N + 1):
+                want = longest_chain(colors, p, d, fam.kind, fam.param, ending=True)
+                assert back[p - 1] == want
+                assert fwd[p - 1] == longest_chain(
+                    colors, p, d, fam.kind, fam.param, ending=False
+                )
+                long_chains += want >= 4
+    assert long_chains > 50

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from brute import first_valid_coloring, mono_ending_at
+from brute import first_valid_coloring, mono_ending_at, mono_through
 from ramseyprog.errors import BudgetExceededError, WitnessFormatError
 from ramseyprog.progressions import Coloring, Family, find_monochromatic
 from ramseyprog.search import (
     SearchBudget,
     ThresholdCertificate,
+    _mono_through_count,
     check_witness,
     exact_threshold,
     random_witness_search,
@@ -184,6 +185,25 @@ def test_random_witness_determinism():
     a = random_witness_search(2, 8, 3, SEMI1, budget)
     b = random_witness_search(2, 8, 3, SEMI1, budget)
     assert a == b
+
+
+def test_mono_through_count_matches_definition():
+    # the repair step's score at r = 3 and 4, for every point and color
+    rng = random.Random(21)
+    families = [SEMI1, SEMI2, Family.quasi(0), Family.quasi(1)]
+    hits = 0
+    for r in (3, 4):
+        for _ in range(60):
+            N = rng.randint(2, 11)
+            k = rng.randint(2, 4)
+            colors = [rng.randrange(r) for _ in range(N)]
+            fam = rng.choice(families)
+            for p in range(1, N + 1):
+                for c in range(r):
+                    want = mono_through(colors, p, c, k, fam.kind, fam.param)
+                    assert _mono_through_count(colors, p, c, k, fam) == want
+                    hits += want > 1
+    assert hits > 50
 
 
 def test_random_witness_golden_digits():
