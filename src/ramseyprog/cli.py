@@ -17,9 +17,11 @@ early, with nothing on stderr.  Output is text by default, CSV for the
 table, and JSON everywhere on request; with --format json, errors are also
 emitted as a JSON object on stdout.
 
-Environment variables RAMSEYPROG_MAX_NODES, RAMSEYPROG_MAX_LENGTH,
-RAMSEYPROG_MAX_POINTS and RAMSEYPROG_MAX_COLORINGS override the default
-search and enumeration budgets; explicit flags beat the environment.
+Budgets: search exact reads --max-nodes and --max-length, search witness
+--max-nodes, --seed and --restarts, and oracle --max-points and
+--max-colorings.  An unset cap falls back to RAMSEYPROG_<FIELD>
+(RAMSEYPROG_MAX_NODES, ...), then to its dataclass default; a subcommand
+ignores the variables of caps it has no flag for.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -117,36 +120,28 @@ def _family(args) -> Family:
     return Family(args.family, args.param)
 
 
-def _budget_cap(args, budget_cls, field: str) -> int:
-    """A budget cap: its flag if given, else RAMSEYPROG_<FIELD> from the
-    environment, else the budget dataclass's default."""
-    value = getattr(args, field, None)
-    if value is not None:
-        return value
-    name = f"RAMSEYPROG_{field.upper()}"
-    raw = os.environ.get(name)
-    if raw is None:
-        return getattr(budget_cls, field)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _search_budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=_budget_cap(args, SearchBudget, "max_nodes"),
-        max_length=_budget_cap(args, SearchBudget, "max_length"),
-        seed=args.seed,
-        restarts=args.restarts,
-    )
-
-
-def _oracle_budget(args) -> OracleBudget:
-    return OracleBudget(
-        max_points=_budget_cap(args, OracleBudget, "max_points"),
-        max_colorings=_budget_cap(args, OracleBudget, "max_colorings"),
-    )
+def _budget(args, budget_cls):
+    """The budget built from the fields the subcommand has a flag for; a
+    field with no flag keeps its dataclass default.  An unset cap flag
+    (max_*, default None) falls back to RAMSEYPROG_<FIELD> from the
+    environment, else to the default; seed and restarts default to theirs
+    in the parser."""
+    values = {}
+    for field in dataclasses.fields(budget_cls):
+        if not hasattr(args, field.name):
+            continue
+        value = getattr(args, field.name)
+        if value is None:
+            name = f"RAMSEYPROG_{field.name.upper()}"
+            raw = os.environ.get(name)
+            if raw is None:
+                continue
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        values[field.name] = value
+    return budget_cls(**values)
 
 
 def cmd_bound(args) -> int:
@@ -212,7 +207,7 @@ def _report_payload(rep: CountReport) -> dict:
 
 def cmd_oracle(args) -> int:
     family = _family(args)
-    budget = _oracle_budget(args)
+    budget = _budget(args, OracleBudget)
     if args.oracle_cmd == "count":
         rep = count_mono_colorings(args.r, args.N, args.k, family, budget)
         _emit(
@@ -276,7 +271,7 @@ def cmd_search(args) -> int:
     if args.r > MAX_DIGIT_COLORS:
         raise ValueError(f"--r is at most {MAX_DIGIT_COLORS} (one digit per point)")
     family = _family(args)
-    budget = _search_budget(args)
+    budget = _budget(args, SearchBudget)
     if args.search_cmd == "exact":
         try:
             cert = exact_threshold(args.r, args.k, family, budget)
@@ -320,9 +315,9 @@ def cmd_search(args) -> int:
                 "witness": witness.digits(),
             }
             lines = [f"witness (length {witness.n_points}) = {witness.digits()}"]
-    _emit(args.format, payload, lines)
     if args.witness_out and witness is not None:
         write_witness(args.witness_out, witness, args.k, family)
+    _emit(args.format, payload, lines)
     return code
 
 
@@ -362,21 +357,6 @@ def _add_family(p: argparse.ArgumentParser) -> None:
         "--param", type=int, required=True,
         help="scope (semi) or diameter (quasi)",
     )
-
-
-def _add_search_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-nodes", type=int, default=None,
-                   help="search node / repair-move cap")
-    p.add_argument("--seed", type=int, default=SearchBudget.seed, help="random seed")
-    p.add_argument("--restarts", type=int, default=SearchBudget.restarts,
-                   help="random restarts for witness search")
-
-
-def _add_oracle_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-points", type=int, default=None,
-                   help="largest ground set the oracle will sweep")
-    p.add_argument("--max-colorings", type=int, default=None,
-                   help="largest r^N the oracle will sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,33 +403,39 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("partition", "forced"):
             p.add_argument("--a", type=int, required=True, help="first term")
             p.add_argument("--d", type=int, required=True, help="low-difference")
-        _add_oracle_budget(p)
+        p.add_argument("--max-points", type=int, default=None,
+                       help="largest ground set the oracle will sweep")
+        p.add_argument("--max-colorings", type=int, default=None,
+                       help="largest r^N the oracle will sweep")
         _add_format(p)
         p.set_defaults(handler=cmd_oracle, oracle_cmd=name)
 
     search = sub.add_parser("search", help="threshold search")
     search_sub = search.add_subparsers(dest="search_cmd", required=True)
-    search_exact = search_sub.add_parser("exact", help="exact threshold by backtracking")
-    search_exact.add_argument("--r", type=int, default=2, help="colors (default 2)")
-    search_exact.add_argument("--k", type=int, required=True, help="term count")
-    _add_family(search_exact)
-    _add_search_budget(search_exact)
-    search_exact.add_argument("--max-length", type=int, default=None,
-                              help="largest N to attempt")
-    search_exact.add_argument("--witness-out", default=None,
-                              help="write the witness certificate to this file")
-    _add_format(search_exact)
-    search_exact.set_defaults(handler=cmd_search, search_cmd="exact")
-    search_wit = search_sub.add_parser("witness", help="randomized witness search")
-    search_wit.add_argument("--r", type=int, default=2, help="colors (default 2)")
-    search_wit.add_argument("--N", type=int, required=True, help="ground-set size")
-    search_wit.add_argument("--k", type=int, required=True, help="term count")
-    _add_family(search_wit)
-    _add_search_budget(search_wit)
-    search_wit.add_argument("--witness-out", default=None,
-                            help="write the witness certificate to this file")
-    _add_format(search_wit)
-    search_wit.set_defaults(handler=cmd_search, search_cmd="witness")
+    for name, help_text in (
+        ("exact", "exact threshold by backtracking"),
+        ("witness", "randomized witness search"),
+    ):
+        p = search_sub.add_parser(name, help=help_text)
+        p.add_argument("--r", type=int, default=2, help="colors (default 2)")
+        if name == "witness":
+            p.add_argument("--N", type=int, required=True, help="ground-set size")
+        p.add_argument("--k", type=int, required=True, help="term count")
+        _add_family(p)
+        p.add_argument("--max-nodes", type=int, default=None,
+                       help="search node / repair-move cap")
+        if name == "exact":
+            p.add_argument("--max-length", type=int, default=None,
+                           help="largest N to attempt")
+        else:
+            p.add_argument("--seed", type=int, default=SearchBudget.seed,
+                           help="random seed")
+            p.add_argument("--restarts", type=int, default=SearchBudget.restarts,
+                           help="random restarts")
+        p.add_argument("--witness-out", default=None,
+                       help="write the witness certificate to this file")
+        _add_format(p)
+        p.set_defaults(handler=cmd_search, search_cmd=name)
 
     check = sub.add_parser("check", help="re-verify a witness certificate file")
     check.add_argument("file", help="witness certificate path")

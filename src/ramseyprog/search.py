@@ -304,7 +304,9 @@ def random_witness_search(
 
 def write_witness(path: str, chi: Coloring, k: int, family: Family) -> None:
     """Write a two-line witness certificate: a JSON header, then the
-    coloring as base-r digits (position i+1's color at index i)."""
+    coloring as base-r digits (position i+1's color at index i).  Both lines
+    are built before the file opens, so a coloring with too many colors for
+    digits leaves no file."""
     header = {
         "family": family.kind,
         "param": family.param,
@@ -312,9 +314,9 @@ def write_witness(path: str, chi: Coloring, k: int, family: Family) -> None:
         "k": k,
         "n_points": chi.n_points,
     }
+    text = json.dumps(header) + "\n" + chi.digits() + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(header) + "\n")
-        fh.write(chi.digits() + "\n")
+        fh.write(text)
 
 
 def read_witness(path: str) -> Tuple[Coloring, int, Family]:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from ramseyprog.oracle import OracleBudget
 from ramseyprog.search import SearchBudget, write_witness
 
 from brute import floor_beta_n1_power
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -247,12 +250,37 @@ def test_budget_defaults_come_from_the_dataclasses(monkeypatch):
     for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
         monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
     parser = cli.build_parser()
-    args = parser.parse_args(["search", "exact", "--k", "3",
-                              "--family", "semi", "--param", "1"])
-    assert cli._search_budget(args) == SearchBudget()
-    args = parser.parse_args(["oracle", "count", "--N", "5", "--k", "3",
-                              "--family", "semi", "--param", "1"])
-    assert cli._oracle_budget(args) == OracleBudget()
+    for argv, budget_cls in (
+        (["search", "exact", "--k", "3"], SearchBudget),
+        (["search", "witness", "--N", "8", "--k", "3"], SearchBudget),
+        (["oracle", "count", "--N", "5", "--k", "3"], OracleBudget),
+    ):
+        args = parser.parse_args(argv + ["--family", "semi", "--param", "1"])
+        assert cli._budget(args, budget_cls) == budget_cls()
+
+
+def test_search_witness_ignores_max_length_env(capsys, monkeypatch):
+    argv = ["search", "witness", "--N", "8", "--k", "3", "--family", "semi",
+            "--param", "1", "--seed", "3"]
+    monkeypatch.delenv("RAMSEYPROG_MAX_LENGTH", raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    for raw in ("0", "abc"):
+        monkeypatch.setenv("RAMSEYPROG_MAX_LENGTH", raw)
+        assert run(capsys, *argv) == unset
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--k", "3"],
+    ["witness", "--N", "8", "--k", "3", "--seed", "3"],
+])
+def test_search_failed_witness_write_emits_one_json_error(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, "search", *argv, "--family", "semi", "--param", "1",
+                       "--format", "json",
+                       "--witness-out", str(tmp_path / "absent" / "w.txt"))
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["type"] == "FileNotFoundError"
 
 
 def test_search_witness_found(capsys, tmp_path):
@@ -327,6 +355,11 @@ def test_usage_errors_exit_2(capsys):
         main(["oracle", "count", "--N", "5", "--k", "3",
               "--family", "cubic", "--param", "1"])
     assert exc.value.code == 2
+    for flag in ("--seed", "--restarts"):  # witness repair's; exact search has neither
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "exact", "--k", "3", "--family", "semi", "--param", "1",
+                  flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_invalid_values_exit_2(capsys):
@@ -418,3 +451,22 @@ def test_oracle_one_color_and_empty_ground_set_still_count(capsys):
     code, out, _ = run(capsys, "oracle", "count", "--N", "0", "--k", "3",
                        "--family", "semi", "--param", "1")
     assert (code, out) == (0, "monochromatic colorings: 0 / 1\n")
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # each `ramseyprog ...` line of the README's CLI block, in order and in one
+    # directory, so `check w.txt` reads the file the line before it wrote
+    block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("ramseyprog ")]
+    for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
+        monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        if "--max-nodes 9000000" in line:  # settles (2,6,semi2) in about 33 s
+            continue
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, f"{line}: {err}"
+        ran += 1
+    assert ran > 0

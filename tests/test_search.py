@@ -251,6 +251,13 @@ def test_witness_roundtrip(tmp_path):
     assert (tmp_path / "w2.txt").read_bytes() == path.read_bytes()
 
 
+def test_write_witness_beyond_ten_colors_leaves_no_file(tmp_path):
+    path = tmp_path / "w.txt"
+    with pytest.raises(ValueError, match="at most 10 colors"):
+        write_witness(str(path), Coloring((10, 0, 1), 11), 3, SEMI1)
+    assert not path.exists()
+
+
 def test_witness_format_errors(tmp_path):
     def attempt(text):
         p = tmp_path / "bad.txt"
