@@ -6,108 +6,48 @@ computes lower bounds on the least ground-set size forcing a monochromatic
 k-term progression in every r-coloring, cross-checks those bounds against
 exhaustive enumeration at small sizes, and finds exact thresholds with
 re-verifiable witness certificates.
+
+The public names load lazily (PEP 562): ``import ramseyprog`` imports no
+layer, and the first use of a name imports only the submodule it lives in.
 """
 
-from .bounds import (
-    BoundResult,
-    ComparisonBounds,
-    SemiCountingBound,
-    TransferMatrix,
-    alpha_semi,
-    beta_quasi,
-    beta_table,
-    comparison_bounds,
-    lambda_max_by_charpoly,
-    multinomial_count,
-    perron_bracket,
-    quartic_root_check,
-    quasi_counting_bound,
-    semi_bound,
-    semi_counting_bound,
-    transfer_matrix,
-    weighted_conjugate_sum,
-)
-from .errors import BudgetExceededError, ConvergenceError, WitnessFormatError
-from .oracle import (
-    CountReport,
-    OracleBudget,
-    count_mono_colorings,
-    forced_count_check,
-    primary_partition_check,
-    verify_counting_inequality,
-)
-from .progressions import (
-    Coloring,
-    ConjugateVector,
-    Family,
-    FrequencyVector,
-    Progression,
-    conjugate_vector,
-    find_monochromatic,
-    forced_elements,
-    frequency_vector,
-    pair_multiplicity,
-    primary_progression,
-    validate_progression,
-    weight,
-)
-from .search import (
-    SearchBudget,
-    ThresholdCertificate,
-    check_witness,
-    exact_threshold,
-    random_witness_search,
-    read_witness,
-    write_witness,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "BudgetExceededError",
-    "Coloring",
-    "ComparisonBounds",
-    "ConjugateVector",
-    "ConvergenceError",
-    "CountReport",
-    "Family",
-    "FrequencyVector",
-    "OracleBudget",
-    "Progression",
-    "SearchBudget",
-    "SemiCountingBound",
-    "ThresholdCertificate",
-    "TransferMatrix",
-    "WitnessFormatError",
-    "alpha_semi",
-    "beta_quasi",
-    "beta_table",
-    "check_witness",
-    "comparison_bounds",
-    "conjugate_vector",
-    "count_mono_colorings",
-    "exact_threshold",
-    "find_monochromatic",
-    "forced_count_check",
-    "forced_elements",
-    "frequency_vector",
-    "lambda_max_by_charpoly",
-    "multinomial_count",
-    "pair_multiplicity",
-    "perron_bracket",
-    "primary_partition_check",
-    "primary_progression",
-    "quartic_root_check",
-    "quasi_counting_bound",
-    "random_witness_search",
-    "read_witness",
-    "semi_bound",
-    "semi_counting_bound",
-    "transfer_matrix",
-    "validate_progression",
-    "verify_counting_inequality",
-    "weight",
-    "weighted_conjugate_sum",
-    "write_witness",
-]
+_HOME = {  # public name -> the submodule it lives in
+    name: module
+    for module, names in (
+        ("bounds", "BoundResult ComparisonBounds SemiCountingBound TransferMatrix "
+                   "alpha_semi beta_quasi beta_table comparison_bounds "
+                   "lambda_max_by_charpoly multinomial_count perron_bracket "
+                   "quartic_root_check quasi_counting_bound semi_bound "
+                   "semi_counting_bound transfer_matrix weighted_conjugate_sum"),
+        ("errors", "BudgetExceededError ConvergenceError WitnessFormatError"),
+        ("oracle", "CountReport OracleBudget count_mono_colorings forced_count_check "
+                   "primary_partition_check verify_counting_inequality"),
+        ("progressions", "Coloring ConjugateVector Family FrequencyVector Progression "
+                         "conjugate_vector find_monochromatic forced_elements "
+                         "frequency_vector pair_multiplicity primary_progression "
+                         "validate_progression weight"),
+        ("search", "SearchBudget ThresholdCertificate check_witness exact_threshold "
+                   "random_witness_search read_witness write_witness"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # an unknown name must raise AttributeError, so that ``from ramseyprog
+    # import bounds`` falls through to importing the submodule
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

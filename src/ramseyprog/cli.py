@@ -28,33 +28,45 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
+import importlib
 import json
 import math
 import os
 import sys
-from typing import List, Optional
 
-from .bounds import beta_quasi, beta_table, semi_bound
 from .errors import BudgetExceededError, ConvergenceError
-from .oracle import (
-    CountReport,
-    OracleBudget,
-    count_mono_colorings,
-    forced_count_check,
-    primary_partition_check,
-    verify_counting_inequality,
-)
-from .progressions import MAX_DIGIT_COLORS, Family
-from .search import (
-    SearchBudget,
-    check_witness,
-    exact_threshold,
-    random_witness_search,
-    read_witness,
-    write_witness,
-)
+
+# The compute layers load on first use, so a call imports only the layer its
+# subcommand runs.  Each cmd_* binds its layer's names here with _load; until
+# then, cli.<name> resolves through __getattr__.  A wrapper set on cli.<name>
+# before the first call (a test's monkeypatch, the benchmark's tracer) stays.
+_LAZY = {  # name -> the submodule it comes from
+    name: module
+    for module, names in (
+        ("bounds", "beta_quasi beta_table semi_bound"),
+        ("oracle", "OracleBudget count_mono_colorings forced_count_check "
+                   "primary_partition_check verify_counting_inequality"),
+        ("progressions", "MAX_DIGIT_COLORS Family"),
+        ("search", "SearchBudget check_witness exact_threshold "
+                   "random_witness_search read_witness write_witness"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+
+
+def _load(*modules: str) -> None:
+    """Bind the names that ``modules`` supply in this namespace, keeping any
+    already set."""
+    for name, module in _LAZY.items():
+        if module in modules:
+            globals().setdefault(name, __getattr__(name))
+
 
 def _truncate5(x: float) -> str:
     """Five decimals, truncated toward zero: 1.0823922 displays as 1.08239."""
@@ -85,12 +97,14 @@ def _quasi_fields(res) -> dict:
     }
 
 
-def _emit(fmt: str, payload, lines: List[str]) -> None:
+def _emit(fmt: str, payload, lines: list[str]) -> None:
     """Render a record or a list of records: text lines, JSON, or CSV with
     one header row and then one row per record."""
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
+        import csv
+
         records = payload if isinstance(payload, list) else [payload]
         writer = csv.writer(sys.stdout)
         writer.writerow(records[0].keys())
@@ -124,8 +138,10 @@ def _budget(args, budget_cls):
     """The budget built from the fields the subcommand has a flag for; a
     field with no flag keeps its dataclass default.  An unset cap flag
     (max_*, default None) falls back to RAMSEYPROG_<FIELD> from the
-    environment, else to the default; seed and restarts default to theirs
-    in the parser."""
+    environment, else to the default.  The parser sets --seed and
+    --restarts only when given, so they never read the environment."""
+    import dataclasses
+
     values = {}
     for field in dataclasses.fields(budget_cls):
         if not hasattr(args, field.name):
@@ -145,6 +161,7 @@ def _budget(args, budget_cls):
 
 
 def cmd_bound(args) -> int:
+    _load("bounds")
     if args.bound_kind == "semi":
         res, name = semi_bound(args.m), "alpha"
         payload = {"family": "semi", "param": args.m, "alpha": res.base}
@@ -169,6 +186,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _load("bounds")
     results = beta_table(args.r_max, args.n_max)
     records = [
         {"r": res.r, "n": res.family.param, **_quasi_fields(res)} for res in results
@@ -190,7 +208,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _report_payload(rep: CountReport) -> dict:
+def _report_payload(rep) -> dict:
     return {
         "N": rep.N,
         "k": rep.k,
@@ -206,6 +224,7 @@ def _report_payload(rep: CountReport) -> dict:
 
 
 def cmd_oracle(args) -> int:
+    _load("oracle", "progressions")
     family = _family(args)
     budget = _budget(args, OracleBudget)
     if args.oracle_cmd == "count":
@@ -268,6 +287,7 @@ def _cert_payload(cert) -> dict:
 
 
 def cmd_search(args) -> int:
+    _load("search", "progressions")
     if args.r > MAX_DIGIT_COLORS:
         raise ValueError(f"--r is at most {MAX_DIGIT_COLORS} (one digit per point)")
     family = _family(args)
@@ -322,6 +342,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _load("search")
     chi, k, family = read_witness(args.file)
     ok = check_witness(chi, k, family)
     _emit(
@@ -428,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-length", type=int, default=None,
                            help="largest N to attempt")
         else:
-            p.add_argument("--seed", type=int, default=SearchBudget.seed,
+            p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                            help="random seed")
-            p.add_argument("--restarts", type=int, default=SearchBudget.restarts,
+            p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
                            help="random restarts")
         p.add_argument("--witness-out", default=None,
                        help="write the witness certificate to this file")
@@ -445,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "text")
