@@ -11,11 +11,11 @@ One subcommand per computation:
 
 Exit codes: 0 success; 1 a checked inequality failed or a certificate is
 invalid; 2 usage or format error; 3 budget exhausted (including an
-eigenvalue bracket or a threshold undecided within the step cap, and
-witness-not-found); 141 (128 + SIGPIPE) when the reader closes stdout
-early, with nothing on stderr.  Output is text by default, CSV for the
-table, and JSON everywhere on request; with --format json, errors are also
-emitted as a JSON object on stdout.
+eigenvalue bracket or a threshold undecided within the step cap,
+witness-not-found, and running out of memory); 141 (128 + SIGPIPE) when
+the reader closes stdout early, with nothing on stderr.  Output is text by
+default, CSV for the table, and JSON everywhere on request; with --format
+json, errors are also emitted as a JSON object on stdout.
 
 Budgets: search exact reads --max-nodes and --max-length, search witness
 --max-nodes, --seed and --restarts, and oracle --max-points and
@@ -488,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except (BudgetExceededError, ConvergenceError) as exc:
         return fail(exc, 3)
+    except MemoryError:  # a bare MemoryError has no message of its own
+        return fail(MemoryError("out of memory"), 3)
     except (ValueError, OSError) as exc:  # WitnessFormatError is a ValueError
         return fail(exc, 2)
 

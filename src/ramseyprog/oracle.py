@@ -123,7 +123,7 @@ def progressions_from(
         raise ValueError(f"first term {a} outside [1, {N}]")
     if d < 1:
         raise ValueError("low-difference must be a positive integer")
-    gaps, chains = family.allowed_gaps(d), [(a,)]
+    gaps, chains = family.allowed_gaps(d)[:N], [(a,)]
     for left in reversed(range(k - 1)):  # terms still to add after this one
         chains = [t + (t[-1] + g,) for t in chains for g in gaps
                   if t[-1] + g + left * gaps[0] <= N]

@@ -50,7 +50,8 @@ class Family:
         return cls(QUASI, diameter)
 
     def allowed_gaps(self, d: int) -> range:
-        """Successive gaps permitted for low-difference d, smallest first."""
+        """Successive gaps permitted for low-difference d, smallest first.  The
+        i-th (from 0) is at least i + 1, so the first n hold all that fit in [1, n]."""
         if d < 1:
             raise ValueError("low-difference must be a positive integer")
         if self.kind == SEMI:
@@ -305,7 +306,7 @@ def primary_progression(
     if not 1 <= a <= n:
         raise ValueError(f"first term {a} outside [1, {n}]")
     c = colors[a - 1]
-    gaps = tuple(family.allowed_gaps(d))
+    gaps = tuple(family.allowed_gaps(d)[:n])
     starting = [0] * n
     # only a's color matters, and no chain from a passes a + (k-1) * max gap
     last = min(n, a + (k - 1) * gaps[-1])
@@ -342,7 +343,7 @@ def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progre
     for d in range(1, (n - 1) // (k - 1) + 1):
         if not firsts:
             break
-        gaps = tuple(family.allowed_gaps(d))
+        gaps = tuple(family.allowed_gaps(d)[:n])
         starting = [0] * n
         last = min(n, firsts + (k - 1) * gaps[-1])
         fill_chains(chi.colors, range(last - 1, -1, -1), [(gaps, starting)])

@@ -114,9 +114,10 @@ def exact_threshold(
     Colors are tried in ascending order and a color may exceed the largest
     used so far by at most one, so exactly one representative per
     color-permutation class is visited; a class contains a valid coloring
-    iff its representative is valid.  next_color[i] is the next color to
-    try at 0-based point i, top[i] the largest color before it.  A chain
-    table row depends only on earlier rows, so backtracking keeps them valid.
+    iff its representative is valid.  colors[i] is the last color tried at
+    0-based point i (-1 before the first), top[i] the largest color before
+    it.  A chain table row depends only on earlier rows, so backtracking
+    keeps them valid.
 
     Forward check: when point i gets color c and some low-difference's
     chain ending at i has k - 1 terms, every later point one allowed gap
@@ -151,11 +152,10 @@ def exact_threshold(
             f"threshold exceeds max_length={budget.max_length}", partial=partial()
         )
     N = k - 1
-    colors = [0] * N
+    colors = [-1] * N
     # one column per low-difference d with (k - 1) * d <= N - 1: backward
     # gap offsets, chain lengths
     columns: list = []
-    next_color = [0] * N
     top = [-1] * (N + 1)
     full = (1 << r) - 1
     blocked = [0] * N
@@ -170,15 +170,16 @@ def exact_threshold(
                     f"threshold exceeds max_length={budget.max_length}",
                     partial=partial(),
                 )
-            for table in (colors, next_color, blocked):
-                table.append(0)
+            colors.append(-1)
+            blocked.append(0)
             top.append(-1)
             blocks.append([])
             for _, lengths in columns:
                 lengths.append(0)
             d = len(columns) + 1
             if (k - 1) * d <= N - 1:
-                column = (tuple(-g for g in family.allowed_gaps(d)), [0] * N)
+                gaps = family.allowed_gaps(d)[: budget.max_length]
+                column = (tuple(-g for g in gaps), [0] * N)
                 fill_chains(colors, range(i), [column])
                 columns.append(column)
             for j in range(i):
@@ -190,18 +191,17 @@ def exact_threshold(
             for j in undo:
                 blocked[j] ^= bit
             undo.clear()
-        c = next_color[i]
+        c = colors[i] + 1
         if c > top[i] + 1 or c == r:
-            next_color[i] = 0
+            colors[i] = -1
             i -= 1
             continue
-        next_color[i] = c + 1
+        colors[i] = c
         nodes += 1
         if nodes > budget.max_nodes:
             raise BudgetExceededError(
                 f"node budget {budget.max_nodes} exhausted", partial=partial()
             )
-        colors[i] = c
         if not blocked[i] >> c & 1:
             fill_chains(colors, (i,), columns)
             if not _block_ahead(i, 1 << c, columns, k, blocked, full, undo):
@@ -231,7 +231,7 @@ def _mono_through_count(
     n = len(colors)
     total = 0
     for d in range(1, (n - 1) // (k - 1) + 1):
-        gaps = tuple(family.allowed_gaps(d))
+        gaps = tuple(family.allowed_gaps(d)[:n])
         sides = []
         for offsets in (tuple(-g for g in gaps), gaps):
             layer = {p - 1: 1}
@@ -263,11 +263,11 @@ def random_witness_search(
     one uniformly chosen term of the first detected monochromatic
     progression; the new color is the one creating fewest monochromatic
     progressions through that point (ties to the smallest color; with two
-    colors this is just a flip).  Repair moves are capped at
-    max_nodes / restarts per attempt and max_nodes overall.  Returns the
-    first valid coloring, or None when the budget is spent: absence of a
-    witness is a normal outcome, not an error.  Fixed seed makes the whole
-    trajectory reproducible.
+    colors this is just a flip).  min(restarts, max_nodes) attempts make at
+    most max(1, max_nodes // restarts) moves each, so max_nodes in all.
+    Returns the first valid coloring, or None when the budget is spent:
+    absence of a witness is a normal outcome, not an error.  Fixed seed
+    makes the whole trajectory reproducible.
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
@@ -275,16 +275,14 @@ def random_witness_search(
         raise ValueError("need at least 2 colors")
     rng = random.Random(budget.seed)
     per_attempt = max(1, budget.max_nodes // budget.restarts)
-    moves_total = 0
-    for _ in range(budget.restarts):
+    for _ in range(min(budget.restarts, budget.max_nodes)):
         colors = [rng.randrange(r) for _ in range(N)]
-        moves_here = 0
-        while True:
+        for moves in range(per_attempt + 1):
             chi = Coloring(colors, r)
             bad = find_monochromatic(chi, k, family)
             if bad is None:
                 return chi
-            if moves_here >= per_attempt or moves_total >= budget.max_nodes:
+            if moves == per_attempt:
                 break
             p = bad.terms[rng.randrange(k)]
             old = colors[p - 1]
@@ -295,10 +293,6 @@ def random_witness_search(
                     (c for c in range(r) if c != old),
                     key=lambda c: _mono_through_count(colors, p, c, k, family),
                 )
-            moves_here += 1
-            moves_total += 1
-        if moves_total >= budget.max_nodes:
-            break
     return None
 
 

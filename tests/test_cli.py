@@ -136,6 +136,52 @@ def test_bound_quasi_nonconvergence_json_error(capsys, monkeypatch):
     assert payload["type"] == "ConvergenceError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "semi", "--m", "1", "--k", "100"),
+    ("bound", "quasi", "--r", "2", "--n", "1", "--k", "100"),
+])
+def test_out_of_memory_exits_3(capsys, monkeypatch, argv):
+    # as `bound semi --m 1 --k 10**20` runs out while building its powers
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(bounds, "_sqrt_power_floor", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": "out of memory", "type": "MemoryError"}
+
+
+@pytest.mark.parametrize("kind", ["semi", "quasi"])
+def test_param_beyond_the_ground_set_acts_like_the_ground_set(capsys, tmp_path, kind):
+    # no gap past the ground set fits, so 10**23 gives what a scope or
+    # diameter as large as the ground set gives, instead of a crash or a hang
+    def outputs(huge):
+        got = []
+        for digits in ("001", "000"):
+            path = tmp_path / f"{kind}{digits}.txt"
+            family = Family(kind, 10**23 if huge else len(digits))
+            write_witness(str(path), Coloring.from_digits(digits, 2), 3, family)
+            got.append(run(capsys, "check", str(path), "--format", "json"))
+        for argv, n in [
+            ("search exact --r 2 --k 3", 64),  # the default --max-length
+            ("search witness --r 2 --N 4 --k 3 --max-nodes 50", 4),
+            ("oracle count --N 6 --k 3", 6),
+            ("oracle partition --N 5 --k 3 --a 1 --d 1", 5),
+            ("oracle forced --N 8 --k 3 --a 1 --d 1", 8),
+        ]:
+            param = str(10**23 if huge else n)
+            got.append(run(capsys, *argv.split(), "--family", kind,
+                           "--param", param, "--format", "json"))
+        return [(code, {f: v for f, v in json.loads(out).items() if f != "param"}, err)
+                for code, out, err in got]
+
+    want = outputs(huge=False)
+    assert [code for code, _, _ in want] == [0, 1, 0, 0, 0, 0, 0]
+    assert outputs(huge=True) == want
+
+
 def test_oracle_count(capsys):
     code, out, _ = run(capsys, "oracle", "count", "--N", "8", "--k", "3",
                        "--family", "semi", "--param", "1", "--format", "json")

@@ -69,11 +69,14 @@ def test_exact_threshold_determinism():
 
 def test_exact_threshold_node_counts_pinned():
     # node counts are deterministic: they pin the search order, the
-    # symmetry reduction and the rejection test exactly
+    # symmetry reduction and the rejection test exactly; r = 3 exercises the
+    # bound on a new color read from the cursor
     for r, k, fam, value, nodes in [
         (2, 4, SEMI1, 35, 7_115),
         (2, 5, SEMI2, 33, 15_373),
         (2, 5, Family.quasi(1), 33, 25_599),
+        (3, 3, SEMI1, 27, 59_120),
+        (2, 6, Family.quasi(2), 49, 68_481),
     ]:
         cert = exact_threshold(r, k, fam)
         assert (cert.value, cert.nodes_explored) == (value, nodes)
@@ -224,6 +227,20 @@ def test_random_witness_absent_is_none():
     # no valid coloring of [1,9] exists for 3-term arithmetic progressions
     budget = SearchBudget(max_nodes=400, seed=0, restarts=4)
     assert random_witness_search(2, 9, 3, SEMI1, budget) is None
+
+
+def test_random_witness_fewer_moves_than_restarts():
+    # with max_nodes < restarts, each attempt gets one move and only
+    # max_nodes attempts run: all 10 would find 01011010 at seed 5
+    for r, N, max_nodes, seed, digits in [
+        (2, 8, 3, 0, "10100101"),
+        (2, 8, 3, 5, None),
+        (3, 12, 4, 0, "010021220010"),
+        (3, 12, 4, 5, None),
+    ]:
+        budget = SearchBudget(max_nodes=max_nodes, restarts=10, seed=seed)
+        chi = random_witness_search(r, N, 3, SEMI1, budget)
+        assert (chi and chi.digits()) == digits
 
 
 def test_random_witness_multicolor_repair():
