@@ -21,13 +21,12 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import ConvergenceError
-from .progressions import Family, FrequencyVector, pair_multiplicity
+from .errors import BudgetExceededError, ConvergenceError
+from .progressions import Family, FrequencyVector, pair_multiplicity, record
 
 MAX_MATRIX_DIM = 64
 MAX_POWER_STEPS = 64  # cap on perron_bracket's inverse-iteration steps
@@ -70,7 +69,7 @@ def frequency_vectors(total: int, m: int) -> Iterator[Tuple[int, ...]]:
         yield tuple(counts)
 
 
-@dataclass(frozen=True)
+@record
 class SemiCountingBound:
     """Upper bounds on the number of 2-colorings of [1, N] containing a
     monochromatic k-term semi-progression of scope m.
@@ -117,7 +116,7 @@ def semi_counting_bound(N: int, k: int, m: int) -> SemiCountingBound:
     return SemiCountingBound(N, k, m, sum_form, closed, displayed)
 
 
-@dataclass(frozen=True)
+@record
 class TransferMatrix:
     """The positive (n+1) x (n+1) matrix driving the quasi-progression bound.
 
@@ -334,7 +333,7 @@ def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
     return float((lo + hi) / 2)
 
 
-@dataclass(frozen=True)
+@record
 class BoundResult:
     """A lower-bound base: the Ramsey threshold exceeds base^k, where
     base^2 = r / lambda and lambda lies in the exact enclosure [lambda_lo,
@@ -355,19 +354,27 @@ class BoundResult:
     def threshold(self, k: int) -> int:
         """floor(base^k), exactly: the floors at both ends of the enclosure
         agree, else the enclosure is narrowed until they do (ConvergenceError
-        if they still differ after THRESHOLD_DOUBLINGS of the precision)."""
+        if they still differ after THRESHOLD_DOUBLINGS of the precision).
+        BudgetExceededError if k is past the float range or its powers need
+        more bits than an int can hold."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         lo, hi = self.lambda_lo, self.lambda_hi
-        # enough bits to pin base^k to within about 2^-32
-        bits = max(48, math.ceil(k * math.log2(self.base))) + k.bit_length() + 32
-        for _ in range(THRESHOLD_DOUBLINGS):
-            floor_lo = _sqrt_power_floor(self.r / hi, k, bits + 16, up=False)
-            if floor_lo == _sqrt_power_floor(self.r / lo, k, bits + 16, up=True):
-                return floor_lo
-            if lo < hi:  # quasi: refine the Perron bracket
-                lo, hi = perron_bracket(transfer_matrix(self.r, self.family.param), bits)
-            bits *= 2
+        try:
+            # enough bits to pin base^k to within about 2^-32
+            bits = max(48, math.ceil(k * math.log2(self.base))) + k.bit_length() + 32
+            for _ in range(THRESHOLD_DOUBLINGS):
+                floor_lo = _sqrt_power_floor(self.r / hi, k, bits + 16, up=False)
+                if floor_lo == _sqrt_power_floor(self.r / lo, k, bits + 16, up=True):
+                    return floor_lo
+                if lo < hi:  # quasi: refine the Perron bracket
+                    A = transfer_matrix(self.r, self.family.param)
+                    lo, hi = perron_bracket(A, bits)
+                bits *= 2
+        except OverflowError:
+            raise BudgetExceededError(
+                f"floor(base^k) at k = {k} needs more bits than an int can hold"
+            ) from None
         raise ConvergenceError(f"floor(base^{k}) undecided within the step cap")
 
 
@@ -467,7 +474,7 @@ def quasi_counting_bound(r: int, N: int, k: int, n: int) -> Fraction:
     return Fraction(N * N, k - 1) * Fraction(r) ** (N - k + 1) * total
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonBounds:
     """Side-by-side bound bases and values for one parameter point.
 

@@ -19,9 +19,10 @@ json, errors are also emitted as a JSON object on stdout.
 
 Budgets: search exact reads --max-nodes and --max-length, search witness
 --max-nodes, --seed and --restarts, and oracle --max-points and
---max-colorings.  An unset cap falls back to RAMSEYPROG_<FIELD>
-(RAMSEYPROG_MAX_NODES, ...), then to its dataclass default; a subcommand
-ignores the variables of caps it has no flag for.
+--max-colorings (which oracle verify also holds the semi bound's frequency
+vectors to).  An unset cap falls back to RAMSEYPROG_<FIELD>
+(RAMSEYPROG_MAX_NODES, ...), then to its default in SearchBudget or
+OracleBudget; a subcommand ignores the variables of caps it has no flag for.
 """
 
 from __future__ import annotations
@@ -136,19 +137,17 @@ def _family(args) -> Family:
 
 def _budget(args, budget_cls):
     """The budget built from the fields the subcommand has a flag for; a
-    field with no flag keeps its dataclass default.  An unset cap flag
+    field with no flag keeps the record's default.  An unset cap flag
     (max_*, default None) falls back to RAMSEYPROG_<FIELD> from the
     environment, else to the default.  The parser sets --seed and
     --restarts only when given, so they never read the environment."""
-    import dataclasses
-
     values = {}
-    for field in dataclasses.fields(budget_cls):
-        if not hasattr(args, field.name):
+    for field in budget_cls._fields:
+        if not hasattr(args, field):
             continue
-        value = getattr(args, field.name)
+        value = getattr(args, field)
         if value is None:
-            name = f"RAMSEYPROG_{field.name.upper()}"
+            name = f"RAMSEYPROG_{field.upper()}"
             raw = os.environ.get(name)
             if raw is None:
                 continue
@@ -156,7 +155,7 @@ def _budget(args, budget_cls):
                 value = int(raw)
             except ValueError:
                 raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-        values[field.name] = value
+        values[field] = value
     return budget_cls(**values)
 
 

@@ -17,8 +17,8 @@ refusal.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -33,11 +33,12 @@ from .progressions import (
     Progression,
     conjugate_vector,
     primary_progression,
+    record,
     weight,
 )
 
 
-@dataclass(frozen=True)
+@record
 class OracleBudget:
     """Hard caps for exhaustive enumeration."""
 
@@ -61,7 +62,7 @@ class OracleBudget:
             )
 
 
-@dataclass(frozen=True)
+@record
 class CountReport:
     """Exact enumeration result, optionally paired with an analytic bound."""
 
@@ -169,10 +170,19 @@ def count_mono_colorings(
     return CountReport(N, k, family, r, count, r**N)
 
 
-def _family_bound(r: int, N: int, k: int, family: Family) -> Fraction:
+def _family_bound(
+    r: int, N: int, k: int, family: Family, budget: OracleBudget
+) -> Fraction:
     if family.kind == SEMI:
         if r != 2:
             raise ValueError("the scope counting bound is specific to 2 colors")
+        # the sum form walks the C(k + m - 2, k - 1) frequency vectors with sum k - 1
+        vectors = math.comb(k + family.param - 2, k - 1) if k >= 2 else 0
+        if vectors > budget.max_colorings:
+            raise BudgetExceededError(
+                f"the scope-{family.param} bound's {vectors} frequency vectors "
+                f"exceed the budget of {budget.max_colorings}"
+            )
         return semi_counting_bound(N, k, family.param).sum_form
     return quasi_counting_bound(r, N, k, family.param)
 
@@ -183,11 +193,14 @@ def verify_counting_inequality(
     """Compare the exhaustive monochromatic-coloring count against the
     analytic upper bound for the family; bound_satisfied records whether
     the bound held.  A False result is a finding, not an exception.  The
-    budget and the bound's scope are checked before the count runs."""
+    budget (r^N colorings, and for semi the bound's frequency vectors, both
+    against max_colorings) and the bound's scope are checked before the
+    count runs."""
     budget.check(r, N)
-    bound = _family_bound(r, N, k, family)
-    plain = count_mono_colorings(r, N, k, family, budget)
-    return replace(plain, bound_value=bound, bound_satisfied=plain.mono_count <= bound)
+    bound = _family_bound(r, N, k, family, budget)
+    count = count_mono_colorings(r, N, k, family, budget)
+    return CountReport(N, k, family, r, count.mono_count, count.total,
+                       bound, count.mono_count <= bound)
 
 
 def _primaries(

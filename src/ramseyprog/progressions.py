@@ -18,7 +18,6 @@ Everything here is a pure function of its inputs; there is no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 SEMI = "semi"
@@ -26,7 +25,54 @@ QUASI = "quasi"
 MAX_DIGIT_COLORS = 10  # Coloring.digits writes one decimal digit per point
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    It is built by position or keyword (a class-level value is the default,
+    so fields with one come last), then checked by ``__post_init__`` if it
+    has one.  It equals a record of the same class with equal fields, hashes
+    as the tuple of them, shows as ``Cls(field=value, ...)`` and raises
+    AttributeError on assignment or deletion.  ``cls._fields`` names the
+    fields.  ``__init__``, ``__eq__`` and ``__hash__`` are compiled once per
+    class, so they cost what hand-written ones would.
+    """
+    fields = tuple(cls.__annotations__)
+    defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+    own = "".join(f"self.{f}, " for f in fields)
+    source = (
+        f"def __init__(self, {', '.join(fields)}):\n"
+        + "".join(f"    _setattr(self, {f!r}, {f})\n" for f in fields)
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({own}))\n"
+    )
+    methods = dict(__repr__=_record_repr, __setattr__=_record_setattr,
+                   __delattr__=_record_delattr, _fields=fields)
+    exec(source, {"_setattr": object.__setattr__}, methods)
+    methods["__init__"].__defaults__ = defaults
+    for name, value in methods.items():
+        setattr(cls, name, value)
+    return cls
+
+
+def _record_repr(self) -> str:
+    values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__qualname__}({values})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@record
 class Family:
     """A progression family: semi of a given scope, or quasi of a given diameter."""
 
@@ -68,7 +114,7 @@ class Family:
         return f"{self.kind}({tag}={self.param})"
 
 
-@dataclass(frozen=True)
+@record
 class Coloring:
     """An r-coloring of the integer interval [1, N].
 
@@ -130,7 +176,7 @@ def validate_progression(terms: Sequence[int], d: int, family: Family) -> bool:
     return all(b - a in gaps for a, b in zip(terms, terms[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class Progression:
     """A k-term progression with its low-difference and family.
 
@@ -154,7 +200,7 @@ class Progression:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
+@record
 class ConjugateVector:
     """Per-gap excess over the minimal gap; entries in [0, max_excess]."""
 
@@ -170,7 +216,7 @@ class ConjugateVector:
             raise ValueError(f"entries must lie in [0, {top}] for {self.family}")
 
 
-@dataclass(frozen=True)
+@record
 class FrequencyVector:
     """Histogram of conjugate-vector entries (semi case): counts[j] = #{i : u_i = j}."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import BudgetExceededError, WitnessFormatError
@@ -32,10 +31,11 @@ from .progressions import (
     Family,
     fill_chains,
     find_monochromatic,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SearchBudget:
     """Caps and reproducibility knobs for the searches."""
 
@@ -49,7 +49,7 @@ class SearchBudget:
             raise ValueError("budget fields must be positive (seed non-negative)")
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdCertificate:
     """A Ramsey threshold claim with its evidence.
 

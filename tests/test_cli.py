@@ -153,6 +153,33 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, argv):
     assert json.loads(out) == {"error": "out of memory", "type": "MemoryError"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "semi", "--m", "1", "--k", str(10**21)),
+    ("bound", "quasi", "--r", "2", "--n", "1", "--k", str(10**21)),
+])
+def test_threshold_past_the_int_size_exits_3(capsys, argv):
+    # its fixed-point powers would need more bits than an int can hold
+    message = f"floor(base^k) at k = {10**21} needs more bits than an int can hold"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+
+
+def test_oracle_verify_refuses_a_semi_scope_past_the_vector_budget(capsys):
+    argv = ["oracle", "verify", "--N", "6", "--k", "3", "--family", "semi",
+            "--param", str(10**23)]
+    vectors = (10**23 + 1) * 10**23 // 2  # C(k + m - 2, k - 1)
+    message = (f"the scope-{10**23} bound's {vectors} frequency vectors "
+               f"exceed the budget of {2**24}")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+
+
 @pytest.mark.parametrize("kind", ["semi", "quasi"])
 def test_param_beyond_the_ground_set_acts_like_the_ground_set(capsys, tmp_path, kind):
     # no gap past the ground set fits, so 10**23 gives what a scope or
@@ -292,7 +319,7 @@ def test_search_more_than_ten_colors_exit_2_before_searching(capsys, monkeypatch
     assert json.loads(out)["type"] == "ValueError"
 
 
-def test_budget_defaults_come_from_the_dataclasses(monkeypatch):
+def test_budget_defaults_come_from_the_budget_records(monkeypatch):
     for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
         monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
     parser = cli.build_parser()

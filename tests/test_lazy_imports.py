@@ -19,6 +19,7 @@ from ramseyprog.search import SearchBudget, write_witness
 
 LAYERS = {f"ramseyprog.{m}" for m in ("bounds", "oracle", "search", "progressions")}
 FAMILY = ["--family", "semi", "--param", "1"]
+RECORD_HELPERS = {"dataclasses", "inspect"}  # the records need neither
 
 
 def _modules_loaded_by(argv):
@@ -43,15 +44,23 @@ def _modules_loaded_by(argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["--help"], LAYERS | {"dataclasses", "fractions", "csv"}),
-    (["bound", "quasi", "--r", "2", "--n", "1"],
-     {"ramseyprog.search", "ramseyprog.oracle"}),
+    (["--help"], LAYERS | RECORD_HELPERS | {"fractions", "csv"}),
+    (["bound", "quasi", "--r", "2", "--n", "1", "--k", "10"],
+     {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
     (["table", "--r-max", "3", "--n-max", "2"],
-     {"ramseyprog.search", "ramseyprog.oracle"}),
+     {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
     (["search", "witness", "--N", "8", "--k", "3", *FAMILY],
-     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"}),
-    (["check", "WITNESS"], {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"}),
-    (["oracle", "count", "--N", "6", "--k", "3", *FAMILY], {"ramseyprog.search"}),
+     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
+    (["check", "WITNESS"],
+     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
+    (["oracle", "count", "--N", "6", "--k", "3", *FAMILY],
+     {"ramseyprog.search"} | RECORD_HELPERS),
+    (["bound", "semi", "--m", "2", "--k", "10"],
+     {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
+    (["search", "exact", "--k", "3", *FAMILY],
+     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
+    (["oracle", "verify", "--N", "6", "--k", "3", *FAMILY],
+     {"ramseyprog.search"} | RECORD_HELPERS),
 ])
 def test_each_call_loads_only_its_layer(tmp_path, argv, absent):
     if "WITNESS" in argv:
@@ -105,7 +114,7 @@ def test_a_wrapper_set_on_cli_is_what_the_command_runs(capsys, monkeypatch, name
     assert len(calls) == 2
 
 
-def test_search_witness_seed_and_restarts_default_to_the_dataclass(capsys, monkeypatch):
+def test_search_witness_seed_and_restarts_default_to_the_budget_record(capsys, monkeypatch):
     budgets = []
     monkeypatch.setattr(cli, "random_witness_search",
                         lambda r, N, k, family, budget: budgets.append(budget))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ramseyprog import oracle
+from ramseyprog.bounds import frequency_vectors, semi_counting_bound
 from ramseyprog.errors import BudgetExceededError
 from ramseyprog.oracle import (
     CountReport,
@@ -273,6 +274,26 @@ def test_verify_refuses_the_semi_scope_before_counting(monkeypatch):
     # over budget, the budget refusal still wins
     with pytest.raises(BudgetExceededError):
         verify_counting_inequality(3, 30, 9, SEMI1)
+
+
+def test_verify_holds_the_semi_frequency_vectors_to_the_budget(monkeypatch):
+    # k = 3, m = 5: C(k + m - 2, k - 1) = 15 vectors, and 2^4 = 16 colorings
+    assert len(list(frequency_vectors(2, 5))) == 15
+    budget = OracleBudget(max_colorings=16)
+    rep = verify_counting_inequality(2, 4, 3, Family.semi(5), budget)
+    assert rep == CountReport(4, 3, Family.semi(5), 2, rep.mono_count, 16,
+                              semi_counting_bound(4, 3, 5).sum_form, True)
+    with pytest.raises(ValueError, match="need at least 2 terms"):
+        verify_counting_inequality(2, 4, 1, Family.semi(10**23), budget)
+
+    def never(*args):
+        raise AssertionError("the bound or the count ran")
+
+    monkeypatch.setattr(oracle, "semi_counting_bound", never)
+    monkeypatch.setattr(oracle, "count_mono_colorings", never)
+    with pytest.raises(BudgetExceededError, match="21 frequency vectors exceed "
+                       "the budget of 16"):
+        verify_counting_inequality(2, 4, 3, Family.semi(6), budget)
 
 
 def test_primary_checks_can_fail(monkeypatch):
