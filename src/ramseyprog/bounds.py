@@ -355,11 +355,14 @@ class BoundResult:
         """floor(base^k), exactly: the floors at both ends of the enclosure
         agree, else the enclosure is narrowed until they do (ConvergenceError
         if they still differ after THRESHOLD_DOUBLINGS of the precision).
-        BudgetExceededError if k is past the float range or its powers need
-        more bits than an int can hold."""
+        Where the enclosure puts the base below 1, that is 1 at k = 0 and 0
+        after, for any k.  Otherwise BudgetExceededError if k is past the
+        float range or its powers need more bits than an int can hold."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         lo, hi = self.lambda_lo, self.lambda_hi
+        if lo > self.r:  # base < 1, so base^k is 1 at k = 0 and in (0, 1) after
+            return int(k == 0)
         try:
             # enough bits to pin base^k to within about 2^-32
             bits = max(48, math.ceil(k * math.log2(self.base))) + k.bit_length() + 32

@@ -17,14 +17,13 @@ refusal.
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from .bounds import quasi_counting_bound, semi_counting_bound
 from .errors import BudgetExceededError
 from .progressions import (
     SEMI,
@@ -36,6 +35,21 @@ from .progressions import (
     record,
     weight,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# Only verify needs the counting bounds, so they load on first use and the
+# other checks import no bounds (nor its fractions and decimal).  Until
+# _family_bound binds them here, oracle.<name> resolves through __getattr__;
+# a wrapper set on oracle.<name> before that (the benchmark's tracer) stays.
+_BOUNDS = ("quasi_counting_bound", "semi_counting_bound")
+
+
+def __getattr__(name):
+    if name not in _BOUNDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(".bounds", __package__), name)
 
 
 @record
@@ -173,6 +187,8 @@ def count_mono_colorings(
 def _family_bound(
     r: int, N: int, k: int, family: Family, budget: OracleBudget
 ) -> Fraction:
+    for name in _BOUNDS:
+        globals().setdefault(name, __getattr__(name))
     if family.kind == SEMI:
         if r != 2:
             raise ValueError("the scope counting bound is specific to 2 colors")

@@ -4,11 +4,13 @@ The exact route is one iterative depth-first search over partial colorings,
 left to right, whose depth record is the threshold.  It starts at k - 1
 points, where no progression fits, and always seeks a valid coloring one
 point longer than the longest found so far, so every N from k on is
-entered by the same growth step.  It fills the chain-length table
-(progressions.fill_chains) as it colors, and a forward check rejects a
-color at a point where it would end a monochromatic k-term chain.  When
-the search is exhausted, every coloring of [1, N] contains a
-monochromatic progression and N is the threshold.
+entered by the same growth step.  Each point it colors costs one pass per
+low-difference: the longest monochromatic chain ending there, read off
+precomputed predecessors, and, when that chain has k - 1 terms, a forward
+check that blocks the color one allowed gap ahead, so that a color is
+rejected where it would end a monochromatic k-term chain.  When the search
+is exhausted, every coloring of [1, N] contains a monochromatic progression
+and N is the threshold.
 
 The randomized route exhibits valid colorings at sizes where exhaustive
 proof is pointless: random start, then local repair on detected
@@ -69,32 +71,23 @@ class ThresholdCertificate:
     exhaustive: bool
 
 
-def _block_ahead(
-    i: int,
-    bit: int,
-    columns: list,
-    k: int,
-    blocked: List[int],
-    full: int,
-    undo: List[int],
+def _block(
+    i: int, bit: int, gaps: tuple, blocked: List[int], full: int, undo: List[int]
 ) -> bool:
-    """Block ``bit`` at every point one allowed gap after 0-based point i
-    for each column (backward gap offsets, chain lengths) whose chain ending
-    at i has k - 1 terms, appending each point whose mask changes to
-    ``undo``.  True, leaving the rest unblocked, once a mask reaches ``full``."""
+    """Block ``bit`` at every point one allowed gap after 0-based point i,
+    appending each point whose mask changes to ``undo``.  True, leaving the
+    rest unblocked, once a mask reaches ``full``."""
     n = len(blocked)
-    for offsets, lengths in columns:
-        if lengths[i] == k - 1:
-            for s in offsets:
-                j = i - s
-                if j >= n:
-                    break
-                mask = blocked[j]
-                if not mask & bit:
-                    blocked[j] = mask = mask | bit
-                    undo.append(j)
-                    if mask == full:
-                        return True
+    for g in gaps:
+        j = i + g
+        if j >= n:
+            break
+        mask = blocked[j]
+        if not mask & bit:
+            blocked[j] = mask = mask | bit
+            undo.append(j)
+            if mask == full:
+                return True
     return False
 
 
@@ -116,23 +109,33 @@ def exact_threshold(
     color-permutation class is visited; a class contains a valid coloring
     iff its representative is valid.  colors[i] is the last color tried at
     0-based point i (-1 before the first), top[i] the largest color before
-    it.  A chain table row depends only on earlier rows, so backtracking
-    keeps them valid.
+    it.
 
-    Forward check: when point i gets color c and some low-difference's
-    chain ending at i has k - 1 terms, every later point one allowed gap
-    away is blocked for c.  blocked[j] is a bitmask of the colors blocked at
-    point j, and blocks[i] lists the points whose mask level i set, so that
-    trying another color at i undoes them.  This is the one completion test:
-    c ends a k-term chain at i exactly when c is blocked there, and a point
-    with every color blocked cannot be colored, so the prefix is rejected.
+    Each low-difference d has a column: the tuple of every point's
+    predecessors one allowed gap back (precomputed, so the loop does no
+    bounds test), and a chain-length table whose row i is the longest chain
+    of i's color ending at i.  Coloring point i with c makes one pass per
+    column.  It fills row i from the rows of i's predecessors of color c
+    and, when the chain has k - 1 terms, runs the forward check: every
+    later point one allowed gap away is blocked for c.  blocked[j] is a
+    bitmask of the colors blocked at point j, and blocks[i] lists the
+    points whose mask level i set, so that trying another color at i undoes
+    them.  This is the one completion test: c ends a k-term chain at i
+    exactly when c is blocked there, and a point with every color blocked
+    cannot be colored, so the prefix is rejected and the pass stops there.
+
+    A rejected node may so leave row i partly filled.  That is safe: a row
+    depends only on earlier rows, and no node reads row i before a node at
+    i is accepted, which rewrites all of it; so backtracking keeps the rows
+    of the current path valid.
 
     Growing N keeps the search order: every coloring of [1, N] before the
-    witness is invalid, and so is each of its extensions.  Growth adds a
-    row to every table, fills a new low-difference's column along the
-    path (d = 1 on reaching N = k), and reruns each level's forward check,
-    which logs only the new point's blocks; the search goes on at the new
-    point.
+    witness is invalid, and so is each of its extensions.  Growth adds the
+    new point's predecessors and row to every column, builds a new
+    low-difference's column along the path (d = 1 on reaching N = k, its
+    rows by progressions.fill_chains), and reruns each level's forward
+    check with the node step's blocking routine, which logs only the new
+    point's blocks; the search goes on at the new point.
     """
     if k < 2:
         raise ValueError("need at least 2 terms")
@@ -153,13 +156,15 @@ def exact_threshold(
         )
     N = k - 1
     colors = [-1] * N
-    # one column per low-difference d with (k - 1) * d <= N - 1: backward
-    # gap offsets, chain lengths
+    # one column per low-difference d with (k - 1) * d <= N - 1: the
+    # in-range predecessors of each point, chain lengths, allowed gaps
     columns: list = []
     top = [-1] * (N + 1)
     full = (1 << r) - 1
     blocked = [0] * N
     blocks: List[List[int]] = [[] for _ in range(N)]
+    max_nodes = budget.max_nodes
+    near_full = k - 2  # a predecessor chain this long puts k - 1 terms at i
     i = 0
     while i >= 0:
         if i == N:
@@ -174,16 +179,21 @@ def exact_threshold(
             blocked.append(0)
             top.append(-1)
             blocks.append([])
-            for _, lengths in columns:
+            for preds, lengths, gaps in columns:
+                preds.append(tuple(i - g for g in gaps if g <= i))
                 lengths.append(0)
             d = len(columns) + 1
             if (k - 1) * d <= N - 1:
-                gaps = family.allowed_gaps(d)[: budget.max_length]
-                column = (tuple(-g for g in gaps), [0] * N)
-                fill_chains(colors, range(i), [column])
-                columns.append(column)
+                gaps = tuple(family.allowed_gaps(d)[: budget.max_length])
+                preds = [tuple(j - g for g in gaps if g <= j) for j in range(N)]
+                lengths = [0] * N
+                fill_chains(colors, range(i), [(tuple(-g for g in gaps), lengths)])
+                columns.append((preds, lengths, gaps))
             for j in range(i):
-                _block_ahead(j, 1 << colors[j], columns, k, blocked, full, blocks[j])
+                bit = 1 << colors[j]
+                for _, lengths, gaps in columns:
+                    if lengths[j] == k - 1:
+                        _block(j, bit, gaps, blocked, full, blocks[j])
             continue
         undo = blocks[i]
         if undo:
@@ -198,15 +208,27 @@ def exact_threshold(
             continue
         colors[i] = c
         nodes += 1
-        if nodes > budget.max_nodes:
+        if nodes > max_nodes:
             raise BudgetExceededError(
-                f"node budget {budget.max_nodes} exhausted", partial=partial()
+                f"node budget {max_nodes} exhausted", partial=partial()
             )
-        if not blocked[i] >> c & 1:
-            fill_chains(colors, (i,), columns)
-            if not _block_ahead(i, 1 << c, columns, k, blocked, full, undo):
-                top[i + 1] = max(top[i], c)
-                i += 1
+        if blocked[i] >> c & 1:
+            continue
+        # one pass per column: row i, then the forward check if the chain
+        # has k - 1 terms; stopping early may leave row i partly filled
+        for preds, lengths, gaps in columns:
+            best = 0
+            for j in preds[i]:
+                if colors[j] == c:
+                    x = lengths[j]
+                    if x > best:
+                        best = x
+            lengths[i] = best + 1
+            if best == near_full and _block(i, 1 << c, gaps, blocked, full, undo):
+                break
+        else:
+            top[i + 1] = max(top[i], c)
+            i += 1
     return ThresholdCertificate(family, r, k, N, witness, nodes, True)
 
 

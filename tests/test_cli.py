@@ -156,15 +156,31 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ("bound", "semi", "--m", "1", "--k", str(10**21)),
     ("bound", "quasi", "--r", "2", "--n", "1", "--k", str(10**21)),
+    ("bound", "quasi", "--r", "2", "--n", "1", "--k", str(10**400)),
 ])
 def test_threshold_past_the_int_size_exits_3(capsys, argv):
     # its fixed-point powers would need more bits than an int can hold
-    message = f"floor(base^k) at k = {10**21} needs more bits than an int can hold"
+    message = f"floor(base^k) at k = {argv[-1]} needs more bits than an int can hold"
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 3 and err == ""
     assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+
+
+@pytest.mark.parametrize("k, want", [(0, 1), (10**21, 0), (10**400, 0)],
+                         ids=["0", "10**21", "10**400"])
+def test_threshold_below_base_one_needs_no_bits(capsys, k, want):
+    # beta(2, 4) < 1: floor(beta^k) is 1 at k = 0 and 0 after, for any k
+    argv = ("bound", "quasi", "--r", "2", "--n", "4", "--k", str(k))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "useful = false" in out
+    assert out.endswith(f"floor(beta^{k}) = {want}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["useful"], payload["k"], payload["threshold"]) == (False, k, want)
 
 
 def test_oracle_verify_refuses_a_semi_scope_past_the_vector_budget(capsys):

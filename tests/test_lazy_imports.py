@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ramseyprog
-from ramseyprog import cli
+from ramseyprog import cli, oracle
 from ramseyprog.progressions import Coloring, Family
 from ramseyprog.search import SearchBudget, write_witness
 
@@ -54,13 +54,15 @@ def _modules_loaded_by(argv):
     (["check", "WITNESS"],
      {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
     (["oracle", "count", "--N", "6", "--k", "3", *FAMILY],
-     {"ramseyprog.search"} | RECORD_HELPERS),
+     {"ramseyprog.search", "ramseyprog.bounds", "fractions", "decimal"} | RECORD_HELPERS),
     (["bound", "semi", "--m", "2", "--k", "10"],
      {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
     (["search", "exact", "--k", "3", *FAMILY],
      {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
     (["oracle", "verify", "--N", "6", "--k", "3", *FAMILY],
      {"ramseyprog.search"} | RECORD_HELPERS),
+    (["oracle", "partition", "--N", "5", "--k", "3", *FAMILY, "--a", "1", "--d", "1"],
+     {"ramseyprog.search", "ramseyprog.bounds", "fractions", "decimal"} | RECORD_HELPERS),
 ])
 def test_each_call_loads_only_its_layer(tmp_path, argv, absent):
     if "WITNESS" in argv:
@@ -88,7 +90,7 @@ def test_cli_lazy_names_resolve_to_their_home_objects():
         assert getattr(cli, name) is getattr(home, name), name
 
 
-@pytest.mark.parametrize("module", [ramseyprog, cli])
+@pytest.mark.parametrize("module", [ramseyprog, cli, oracle])
 def test_unknown_attribute_raises_attribute_error(module):
     with pytest.raises(AttributeError):
         module.no_such_name
@@ -111,6 +113,25 @@ def test_a_wrapper_set_on_cli_is_what_the_command_runs(capsys, monkeypatch, name
     assert cli.main(argv) == 0
     assert cli.main(argv) == 0  # the second call finds its names bound
     capsys.readouterr()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("semi_counting_bound", "semi"), ("quasi_counting_bound", "quasi"),
+])
+def test_a_wrapper_set_on_oracle_is_what_verify_runs(monkeypatch, name, kind):
+    # as before the first verify, when oracle.<name> resolves lazily
+    monkeypatch.delitem(vars(oracle), name, raising=False)
+    calls = []
+    real = getattr(oracle, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, wrapper)
+    for _ in range(2):  # the second call finds its names bound
+        assert oracle.verify_counting_inequality(2, 6, 3, Family(kind, 1)).bound_satisfied
     assert len(calls) == 2
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import first_valid_coloring, mono_ending_at, mono_through
+from brute import first_valid_coloring, has_mono, mono_ending_at, mono_through
 from ramseyprog.errors import BudgetExceededError, WitnessFormatError
 from ramseyprog.progressions import Coloring, Family, find_monochromatic
 from ramseyprog.search import (
@@ -77,9 +77,44 @@ def test_exact_threshold_node_counts_pinned():
         (2, 5, Family.quasi(1), 33, 25_599),
         (3, 3, SEMI1, 27, 59_120),
         (2, 6, Family.quasi(2), 49, 68_481),
+        (3, 3, SEMI2, 17, 1_259),
+        (3, 3, Family.quasi(1), 17, 1_130),
+        (2, 4, SEMI2, 17, 289),
+        (2, 4, Family.quasi(0), 35, 7_115),
+        (2, 3, Family.semi(3), 5, 15),
     ]:
         cert = exact_threshold(r, k, fam)
         assert (cert.value, cert.nodes_explored) == (value, nodes)
+
+
+def test_exact_threshold_partial_pinned():
+    # the node budget runs out mid-search: the partial certificate's value,
+    # node count and witness pin where the search stood
+    budget = SearchBudget(max_nodes=200_000, max_length=80)
+    with pytest.raises(BudgetExceededError) as err:
+        exact_threshold(2, 6, Family.quasi(1), budget)
+    partial = err.value.partial
+    assert (partial.value, partial.nodes_explored, partial.exhaustive) == (
+        63, 200_001, False
+    )
+    assert partial.witness.digits() == (
+        "00000110011100011001111100000110011100011001111100000110011111"
+    )
+
+
+def test_exact_threshold_frontier_instance():
+    # the largest instance the suite proves: 1,131,001 nodes over N up to 71,
+    # with the witness re-checked at the definition and shown maximal
+    family = Family.semi(3)
+    cert = exact_threshold(2, 7, family, SearchBudget(max_length=80))
+    assert (cert.value, cert.nodes_explored, cert.exhaustive) == (71, 1_131_001, True)
+    assert cert.witness.digits() == (
+        "0001000111011010001110100100011101101000111011010001110100100011101010"
+    )
+    colors = list(cert.witness.colors)
+    assert check_witness(cert.witness, 7, family)
+    assert not has_mono(colors, 7, "semi", 3)
+    assert all(mono_ending_at(colors + [c], 7, "semi", 3) for c in (0, 1))
 
 
 @pytest.mark.parametrize("r, k, kind, param", [
