@@ -18,18 +18,16 @@ __version__ = "0.1.0"
 _HOME = {  # public name -> the submodule it lives in
     name: module
     for module, names in (
-        ("bounds", "BoundResult ComparisonBounds SemiCountingBound TransferMatrix "
-                   "alpha_semi beta_quasi beta_table comparison_bounds "
-                   "lambda_max_by_charpoly multinomial_count perron_bracket "
-                   "quartic_root_check quasi_counting_bound semi_bound "
-                   "semi_counting_bound transfer_matrix weighted_conjugate_sum"),
+        ("bounds", "BoundResult TransferMatrix alpha_semi beta_quasi beta_table "
+                   "lambda_max_by_charpoly perron_bracket quasi_counting_bound "
+                   "semi_bound semi_counting_bound transfer_matrix "
+                   "weighted_conjugate_sum"),
         ("errors", "BudgetExceededError ConvergenceError WitnessFormatError"),
         ("oracle", "CountReport OracleBudget count_mono_colorings forced_count_check "
                    "primary_partition_check verify_counting_inequality"),
-        ("progressions", "Coloring ConjugateVector Family FrequencyVector Progression "
-                         "conjugate_vector find_monochromatic forced_elements "
-                         "frequency_vector pair_multiplicity primary_progression "
-                         "validate_progression weight"),
+        ("progressions", "Coloring ConjugateVector Family Progression conjugate_vector "
+                         "find_monochromatic forced_elements pair_multiplicity "
+                         "primary_progression validate_progression weight"),
         ("search", "SearchBudget ThresholdCertificate check_witness exact_threshold "
                    "random_witness_search read_witness write_witness"),
     )

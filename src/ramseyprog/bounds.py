@@ -1,12 +1,27 @@
 """Analytic lower bounds for progression Ramsey thresholds.
 
 Two bound families live here.  For semi-progressions of scope m (two colors)
-the base constant is alpha(m) = sqrt(2^m / (2^m - 1)) and the supporting
-counting bound collapses, via the multinomial theorem, from a sum over
-frequency vectors to a closed form.  For quasi-progressions of diameter n
-with r colors the base is beta = sqrt(r / lambda_max) where lambda_max is
-the Perron root of a positive (n+1) x (n+1) transfer matrix with entries
-alpha^min(i, n-j), alpha = 1 - 1/r.
+the base constant is alpha(m) = sqrt(2^m / (2^m - 1)), from a counting
+bound.  A k-term progression whose conjugate vector u (entries in [0, m-1])
+has weight w = sum(u) fixes its k cells and forces w more off its color, so
+it is primary for at most 2^(N-k+1-w) colorings of [1, N]; there are at most
+N^2/(k-1) (first term, low-difference) pairs, so at most
+
+    (N^2 * 2^(N-k+1) / (k-1)) * sum_u 2^(-sum(u))
+
+colorings hold a monochromatic one.  Grouping the vectors u by frequency
+vector v (v_j entries equal to j) makes the sum one over v of the
+multinomial (k-1)! / prod(v_j!) times 2^(-sum_j j*v_j), which the
+multinomial theorem collapses to (1 + 1/2 + ... + 2^(1-m))^(k-1) =
+(2 (1 - 2^(-m)))^(k-1).  So the count is at most
+
+    (N^2 * 2^N / (k-1)) * (1 - 2^(-m))^(k-1),
+
+the form semi_counting_bound returns, and it is below 2^N while N^2 is below
+(k-1) alpha(m)^(2(k-1)).  For quasi-progressions of diameter n with r colors
+the base is beta = sqrt(r / lambda_max) where lambda_max is the Perron root
+of a positive (n+1) x (n+1) transfer matrix with entries alpha^min(i, n-j),
+alpha = 1 - 1/r.
 
 Rational quantities (weighted sums, counting bounds) are kept as exact
 Fractions.  The transfer matrix is defined by (r, n) alone and applied in
@@ -22,11 +37,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 from .errors import BudgetExceededError, ConvergenceError
-from .progressions import Family, FrequencyVector, pair_multiplicity, record
+from .progressions import Family, pair_multiplicity, record
 
 MAX_MATRIX_DIM = 64
 MAX_POWER_STEPS = 64  # cap on perron_bracket's inverse-iteration steps
@@ -40,80 +55,17 @@ def alpha_semi(m: int) -> float:
     return math.sqrt(2**m / (2**m - 1))
 
 
-def multinomial_count(v) -> int:
-    """Exact multinomial coefficient (sum v)! / prod(v_j!).
-
-    Counts the conjugate vectors sharing the frequency histogram v.  Exact
-    big-integer arithmetic; no overflow possible.
-    """
-    counts = v.counts if isinstance(v, FrequencyVector) else tuple(v)
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    out = math.factorial(sum(counts))
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
-def frequency_vectors(total: int, m: int) -> Iterator[Tuple[int, ...]]:
-    """All m-slot histograms with entry sum ``total`` (stars and bars)."""
-    if m < 1:
-        raise ValueError("need at least one slot")
-    for bars in combinations(range(total + m - 1), m - 1):
-        prev = -1
-        counts = []
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(total + m - 1 - prev - 1)
-        yield tuple(counts)
-
-
-@record
-class SemiCountingBound:
-    """Upper bounds on the number of 2-colorings of [1, N] containing a
-    monochromatic k-term semi-progression of scope m.
-
-    ``sum_form`` iterates over all frequency vectors v with sum k-1,
-    weighting each by its multinomial count and 2^(-weight):
-
-        (N^2 * 2^(N-k+1) / (k-1)) * sum_v M(v) * 2^(-sum_j j*v_j)
-
-    ``closed_form`` is what the multinomial theorem collapses that to:
-
-        (N^2 * 2^N / (k-1)) * (1 - 2^(-m))^(k-1)
-
-    The two are equal exactly.  ``displayed_form`` is the same expression
-    with exponent k instead of k-1; it is strictly smaller and is reported
-    for comparison only, while inequality checking uses the k-1 forms.
-    """
-
-    N: int
-    k: int
-    m: int
-    sum_form: Fraction
-    closed_form: Fraction
-    displayed_form: Fraction
-
-
-def semi_counting_bound(N: int, k: int, m: int) -> SemiCountingBound:
-    """Evaluate both faces of the scope-m counting bound, exactly."""
+def semi_counting_bound(N: int, k: int, m: int) -> Fraction:
+    """Exact upper bound (N^2 * 2^N / (k-1)) * (1 - 2^(-m))^(k-1) on the
+    number of 2-colorings of [1, N] containing a monochromatic k-term
+    semi-progression of scope m: the frequency-vector sum, collapsed."""
     if k < 2:
         raise ValueError("need at least 2 terms")
     if N < 1:
         raise ValueError("ground set must be non-empty")
     if m < 1:
         raise ValueError("scope must be at least 1")
-    half = Fraction(1, 2)
-    acc = Fraction(0)
-    for v in frequency_vectors(k - 1, m):
-        w = sum(j * vj for j, vj in enumerate(v))
-        acc += multinomial_count(v) * half**w
-    sum_form = Fraction(N * N, k - 1) * Fraction(2) ** (N - k + 1) * acc
-    base = 1 - half**m
-    closed = Fraction(N * N, k - 1) * Fraction(2) ** N * base ** (k - 1)
-    displayed = Fraction(N * N, k - 1) * Fraction(2) ** N * base**k
-    return SemiCountingBound(N, k, m, sum_form, closed, displayed)
+    return Fraction(N * N, k - 1) * 2**N * (1 - Fraction(1, 2**m)) ** (k - 1)
 
 
 @record
@@ -426,26 +378,6 @@ def beta_quasi(r: int, n: int) -> BoundResult:
     return BoundResult(Family.quasi(n), r, math.sqrt(r / lam), lam, lo, hi, hi < r)
 
 
-def quartic_root_check() -> float:
-    """The smallest positive root of y^4 - 8y^2 + 8 = 0, cross-checked.
-
-    The root is sqrt(4 - 2*sqrt(2)).  Verifies that it satisfies the quartic
-    to 1e-12, matches beta for 2 colors at diameter 1 to 1e-6, and exceeds
-    1.08226, the best previously published base for that case.
-    """
-    root = math.sqrt(4 - 2 * math.sqrt(2))
-    if abs(root**4 - 8 * root**2 + 8) > 1e-12:
-        raise ArithmeticError("quartic residual too large")
-    beta = beta_quasi(2, 1).base
-    if abs(beta - root) > 1e-6:
-        raise ArithmeticError(
-            f"spectral beta {beta!r} disagrees with quartic root {root!r}"
-        )
-    if not root > 1.08226:
-        raise ArithmeticError("root does not exceed the prior constant")
-    return root
-
-
 def weighted_conjugate_sum(
     t: int, r: int, n: int
 ) -> Tuple[List[Fraction], Fraction]:
@@ -475,45 +407,6 @@ def quasi_counting_bound(r: int, N: int, k: int, n: int) -> Fraction:
         raise ValueError("ground set must be non-empty")
     _, total = weighted_conjugate_sum(k - 1, r, n)
     return Fraction(N * N, k - 1) * Fraction(r) ** (N - k + 1) * total
-
-
-@record
-class ComparisonBounds:
-    """Side-by-side bound bases and values for one parameter point.
-
-    ``naive_quasi`` = (sqrt(r/(n+1)))^k, the first-moment bound that needs
-    no structure; ``landman_semi`` = 2k^2/m, the prior quadratic semi bound;
-    ``semi_power`` and ``quasi_power`` are alpha(m)^k and beta_{r,n}^k.
-    """
-
-    r: int
-    n: int
-    k: int
-    m: int
-    naive_quasi: float
-    landman_semi: float
-    semi_power: float
-    quasi_power: float
-
-
-def _float_power(base: float, k: int) -> float:
-    """base^k, or math.inf where it exceeds the float range."""
-    try:
-        return base**k
-    except OverflowError:
-        return math.inf
-
-
-def comparison_bounds(r: int, n: int, k: int, m: int) -> ComparisonBounds:
-    """Evaluate the competing lower-bound formulas at one (r, n, k, m).
-    A power beyond the float range comes back as math.inf."""
-    if min(r, k, m) < 1 or n < 1:
-        raise ValueError("parameters must be positive")
-    naive = _float_power(math.sqrt(r / (n + 1)), k)
-    landman = 2 * k * k / m
-    semi_power = _float_power(alpha_semi(m), k)
-    quasi_power = _float_power(beta_quasi(r, n).base, k)
-    return ComparisonBounds(r, n, k, m, naive, landman, semi_power, quasi_power)
 
 
 def beta_table(r_max: int, n_max: int) -> List[BoundResult]:

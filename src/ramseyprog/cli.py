@@ -15,14 +15,17 @@ eigenvalue bracket or a threshold undecided within the step cap,
 witness-not-found, and running out of memory); 141 (128 + SIGPIPE) when
 the reader closes stdout early, with nothing on stderr.  Output is text by
 default, CSV for the table, and JSON everywhere on request; with --format
-json, errors are also emitted as a JSON object on stdout.
+json, errors are also emitted as a JSON object on stdout.  An exact number
+(a --k floor, the bound of oracle verify) prints in full at any length.
 
 Budgets: search exact reads --max-nodes and --max-length, search witness
 --max-nodes, --seed and --restarts, and oracle --max-points and
---max-colorings (which oracle verify also holds the semi bound's frequency
-vectors to).  An unset cap falls back to RAMSEYPROG_<FIELD>
-(RAMSEYPROG_MAX_NODES, ...), then to its default in SearchBudget or
-OracleBudget; a subcommand ignores the variables of caps it has no flag for.
+--max-colorings.  oracle verify --family semi also holds the m(k - 1) bits
+of its bound's power (1 - 2^-m)^(k - 1) to --max-colorings, and exits 3
+before the bound or the count runs when they exceed it.  An unset cap falls
+back to RAMSEYPROG_<FIELD> (RAMSEYPROG_MAX_NODES, ...), then to its default
+in SearchBudget or OracleBudget; a subcommand ignores the variables of caps
+it has no flag for.
 """
 
 from __future__ import annotations
@@ -100,9 +103,10 @@ def _quasi_fields(res) -> dict:
 
 def _emit(fmt: str, payload, lines: list[str]) -> None:
     """Render a record or a list of records: text lines, JSON, or CSV with
-    one header row and then one row per record."""
+    one header row and then one row per record.  A Fraction in the payload
+    prints as its exact text "p/q", and text output never builds it."""
     if fmt == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=str))
     elif fmt == "csv":
         import csv
 
@@ -216,7 +220,7 @@ def _report_payload(rep) -> dict:
         "r": rep.r,
         "mono_count": rep.mono_count,
         "total": rep.total,
-        "bound_value": None if rep.bound_value is None else str(rep.bound_value),
+        "bound_value": rep.bound_value,
         "bound_value_float": None if rep.bound_value is None else float(rep.bound_value),
         "bound_satisfied": rep.bound_satisfied,
     }
@@ -237,15 +241,16 @@ def cmd_oracle(args) -> int:
     if args.oracle_cmd == "verify":
         rep = verify_counting_inequality(args.r, args.N, args.k, family, budget)
         verdict = "holds" if rep.bound_satisfied else "VIOLATED"
-        _emit(
-            args.format,
-            _report_payload(rep),
-            [
-                f"monochromatic colorings: {rep.mono_count} / {rep.total}",
-                f"analytic bound: {float(rep.bound_value):.6g}",
-                f"inequality {verdict}",
-            ],
-        )
+        with _int_digits_unlimited():
+            _emit(
+                args.format,
+                _report_payload(rep),
+                [
+                    f"monochromatic colorings: {rep.mono_count} / {rep.total}",
+                    f"analytic bound: {float(rep.bound_value):.6g}",
+                    f"inequality {verdict}",
+                ],
+            )
         return 0 if rep.bound_satisfied else 1
     check = (
         primary_partition_check

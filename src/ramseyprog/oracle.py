@@ -18,7 +18,6 @@ refusal.
 from __future__ import annotations
 
 import importlib
-import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -192,14 +191,14 @@ def _family_bound(
     if family.kind == SEMI:
         if r != 2:
             raise ValueError("the scope counting bound is specific to 2 colors")
-        # the sum form walks the C(k + m - 2, k - 1) frequency vectors with sum k - 1
-        vectors = math.comb(k + family.param - 2, k - 1) if k >= 2 else 0
-        if vectors > budget.max_colorings:
+        # the closed form's power (1 - 2^-m)^(k - 1) has m(k - 1) bits
+        m = family.param
+        if m * (k - 1) > budget.max_colorings:
             raise BudgetExceededError(
-                f"the scope-{family.param} bound's {vectors} frequency vectors "
-                f"exceed the budget of {budget.max_colorings}"
+                f"the scope-{m} bound at k = {k} needs m(k - 1) bits, "
+                f"past the budget of {budget.max_colorings}"
             )
-        return semi_counting_bound(N, k, family.param).sum_form
+        return semi_counting_bound(N, k, m)
     return quasi_counting_bound(r, N, k, family.param)
 
 
@@ -209,9 +208,9 @@ def verify_counting_inequality(
     """Compare the exhaustive monochromatic-coloring count against the
     analytic upper bound for the family; bound_satisfied records whether
     the bound held.  A False result is a finding, not an exception.  The
-    budget (r^N colorings, and for semi the bound's frequency vectors, both
-    against max_colorings) and the bound's scope are checked before the
-    count runs."""
+    budget (r^N colorings, and for semi the m(k - 1) bits of the bound's
+    power, both against max_colorings) and the bound's scope are checked
+    before the bound or the count runs."""
     budget.check(r, N)
     bound = _family_bound(r, N, k, family, budget)
     count = count_mono_colorings(r, N, k, family, budget)

@@ -18,7 +18,7 @@ Everything here is a pure function of its inputs; there is no shared state.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 SEMI = "semi"
 QUASI = "quasi"
@@ -216,18 +216,6 @@ class ConjugateVector:
             raise ValueError(f"entries must lie in [0, {top}] for {self.family}")
 
 
-@record
-class FrequencyVector:
-    """Histogram of conjugate-vector entries (semi case): counts[j] = #{i : u_i = j}."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-
-
 def conjugate_vector(p: Progression) -> ConjugateVector:
     """The conjugate vector of p: (gap - d)/d per gap for semi, gap - d for quasi."""
     d = p.low_difference
@@ -237,19 +225,6 @@ def conjugate_vector(p: Progression) -> ConjugateVector:
     else:
         entries = tuple(g - d for g in gaps)
     return ConjugateVector(entries, p.family)
-
-
-def frequency_vector(u: Union[ConjugateVector, Sequence[int]], m: int) -> FrequencyVector:
-    """Histogram (v_0, ..., v_{m-1}) of a semi conjugate vector's entries."""
-    entries = u.entries if isinstance(u, ConjugateVector) else tuple(u)
-    if m < 1:
-        raise ValueError("scope must be at least 1")
-    if any(not (0 <= e < m) for e in entries):
-        raise ValueError(f"conjugate entries must lie in [0, {m - 1}]")
-    counts = [0] * m
-    for e in entries:
-        counts[e] += 1
-    return FrequencyVector(tuple(counts))
 
 
 def pair_multiplicity(x: int, y: int, n: int) -> int:
@@ -308,26 +283,27 @@ def forced_elements(p: Progression) -> set:
     return out
 
 
-def fill_chains(colors: Sequence[int], points: Iterable[int], columns: list) -> None:
+def fill_chains(
+    colors: Sequence[int], points: Iterable[int], offsets: Sequence[int], lengths: list
+) -> None:
     """The chain-length kernel.  For each 0-based point i of ``points``, in
-    order, and each (offsets, lengths) column, set lengths[i] to 1 + max
-    lengths[i+s] over the offsets s that land inside ``colors`` on i's color.
-    Backward offsets over ascending points give the longest monochromatic
-    chain ending at each point; forward offsets over descending points, the
-    longest one starting there.
+    order, set lengths[i] to 1 + max lengths[i+s] over the ``offsets`` s
+    that land inside ``colors`` on i's color.  Backward offsets over
+    ascending points give the longest monochromatic chain ending at each
+    point; forward offsets over descending points, the longest one starting
+    there.
     """
     n = len(colors)
     for i in points:
         c = colors[i]
-        for offsets, lengths in columns:
-            best = 0
-            for s in offsets:
-                j = i + s
-                if not 0 <= j < n:
-                    break
-                if colors[j] == c and lengths[j] > best:
-                    best = lengths[j]
-            lengths[i] = best + 1
+        best = 0
+        for s in offsets:
+            j = i + s
+            if not 0 <= j < n:
+                break
+            if colors[j] == c and lengths[j] > best:
+                best = lengths[j]
+        lengths[i] = best + 1
 
 
 def primary_progression(
@@ -357,7 +333,7 @@ def primary_progression(
     # only a's color matters, and no chain from a passes a + (k-1) * max gap
     last = min(n, a + (k - 1) * gaps[-1])
     points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
-    fill_chains(colors, points, [(gaps, starting)])
+    fill_chains(colors, points, gaps, starting)
     if starting[a - 1] < k:
         return None
     i, terms = a - 1, [a]
@@ -392,7 +368,7 @@ def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progre
         gaps = tuple(family.allowed_gaps(d)[:n])
         starting = [0] * n
         last = min(n, firsts + (k - 1) * gaps[-1])
-        fill_chains(chi.colors, range(last - 1, -1, -1), [(gaps, starting)])
+        fill_chains(chi.colors, range(last - 1, -1, -1), gaps, starting)
         a = next((a for a in range(firsts) if starting[a] >= k), None)
         if a is not None:
             best_d, firsts = d, a

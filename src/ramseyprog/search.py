@@ -187,7 +187,7 @@ def exact_threshold(
                 gaps = tuple(family.allowed_gaps(d)[: budget.max_length])
                 preds = [tuple(j - g for g in gaps if g <= j) for j in range(N)]
                 lengths = [0] * N
-                fill_chains(colors, range(i), [(tuple(-g for g in gaps), lengths)])
+                fill_chains(colors, range(i), tuple(-g for g in gaps), lengths)
                 columns.append((preds, lengths, gaps))
             for j in range(i):
                 bit = 1 << colors[j]

@@ -7,12 +7,15 @@ first_valid_coloring, drops only prefixes whose last point already ends a
 monochromatic progression.  Slow on purpose; only run at sizes where full
 enumeration is instant.  dense_perron_bracket keeps the generic matrix route
 to the Perron root (dense float solves, exact ratios, integer squaring) as a
-reference for the library's structured one.
+reference for the library's structured one, and semi_counting_sum the scope
+counting bound's sum over frequency vectors as a reference for its closed
+form.  A k-term progression with low-difference d spans at least (k - 1) d,
+so no scan tries a d past that.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 
@@ -80,6 +83,8 @@ def mono_through(colors, p, c, k, kind, param):
     N = len(colors)
     count = 0
     for d in range(1, N):
+        if (k - 1) * d > N - 1:
+            break
         for a in range(1, p + 1):
             for gaps in product(allowed_gaps(kind, param, d), repeat=k - 1):
                 terms = [a]
@@ -102,6 +107,8 @@ def has_mono(colors, k, kind, param):
     N = len(colors)
     for a in range(1, N + 1):
         for d in range(1, N):
+            if (k - 1) * d > N - 1:
+                break
             if mono_with_first(colors, a, d, k, kind, param):
                 return True
     return False
@@ -127,6 +134,37 @@ def weighted_sums(t, r, n):
     return sums
 
 
+def frequency_vector(entries, m):
+    """The histogram (v_0, ..., v_(m-1)) of a semi conjugate vector's entries."""
+    return tuple(entries.count(j) for j in range(m))
+
+
+def frequency_vectors(total, m):
+    """All m-slot histograms with entry sum ``total``, by stars and bars."""
+    for bars in combinations(range(total + m - 1), m - 1):
+        edges = (-1, *bars, total + m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def multinomial(counts):
+    """(sum counts)! / prod(counts_j!): the vectors sharing the histogram."""
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def semi_counting_sum(N, k, m):
+    """The scope-m semi counting bound before the multinomial theorem: the
+    sum over frequency vectors v with sum k - 1 of multinomial(v) times
+    2^(-weight), scaled by N^2 * 2^(N-k+1) / (k-1)."""
+    acc = sum(
+        Fraction(multinomial(v), 2 ** sum(j * c for j, c in enumerate(v)))
+        for v in frequency_vectors(k - 1, m)
+    )
+    return Fraction(N * N, k - 1) * Fraction(2) ** (N - k + 1) * acc
+
+
 def floor_beta_n1_power(r, k):
     """Exact floor(beta(r, 1)^k) from the closed form at diameter 1.
 
@@ -149,6 +187,8 @@ def mono_ending_at(colors, k, kind, param):
     progression, by trying every low-difference and gap tuple."""
     p = len(colors)
     for d in range(1, p):
+        if (k - 1) * d > p - 1:
+            break
         for gaps in product(allowed_gaps(kind, param, d), repeat=k - 1):
             terms = [p]
             for g in reversed(gaps):

@@ -37,7 +37,7 @@ from ramseyprog.progressions import (
 )
 from ramseyprog.search import SearchBudget, check_witness, exact_threshold, random_witness_search
 
-from brute import lexmin_primary, weighted_sums
+from brute import lexmin_primary, semi_counting_sum, weighted_sums
 
 TABLE_GOLDENS = {
     (2, 1): "1.08239",
@@ -110,8 +110,7 @@ def test_acceptance_3_multinomial_collapse():
     ok = True
     for k in range(2, 13):
         for m in range(1, 6):
-            b = semi_counting_bound(11, k, m)
-            ok = ok and b.sum_form == b.closed_form
+            ok = ok and semi_counting_sum(11, k, m) == semi_counting_bound(11, k, m)
     _report(3, "multinomial collapse exact for k <= 12, m <= 5", ok)
 
 
@@ -236,3 +235,18 @@ def test_acceptance_9_witness_search_at_bound_scale():
     ok = ok and chi.n_points == 36
     ok = ok and check_witness(chi, 25, fam)
     _report(9, "random witness on [1,36] avoiding 25-term scope-2 runs", ok)
+
+
+# the least k from which floor(alpha(m)^k) stays above Landman's 2k^2/m
+LANDMAN_CROSSOVER = {1: 19, 2: 56, 3: 143, 4: 340}
+
+
+def test_acceptance_10_exponential_overtakes_landman():
+    ok = True
+    for m, k0 in LANDMAN_CROSSOVER.items():
+        res = semi_bound(m)
+        ok = ok and res.threshold(k0 - 1) * m <= 2 * (k0 - 1) ** 2
+        ok = ok and all(res.threshold(k) * m > 2 * k * k for k in range(k0, 3 * k0))
+        # alpha^k / k^2 grows for k > 2 / ln(alpha), so it stays above after
+        ok = ok and k0 > 2 / math.log(res.base)
+    _report(10, "floor(alpha(m)^k) above Landman's 2k^2/m from a pinned k, m <= 4", ok)

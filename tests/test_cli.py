@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,14 +187,41 @@ def test_threshold_below_base_one_needs_no_bits(capsys, k, want):
 def test_oracle_verify_refuses_a_semi_scope_past_the_vector_budget(capsys):
     argv = ["oracle", "verify", "--N", "6", "--k", "3", "--family", "semi",
             "--param", str(10**23)]
-    vectors = (10**23 + 1) * 10**23 // 2  # C(k + m - 2, k - 1)
-    message = (f"the scope-{10**23} bound's {vectors} frequency vectors "
-               f"exceed the budget of {2**24}")
+    message = (f"the scope-{10**23} bound at k = 3 needs m(k - 1) bits, "
+               f"past the budget of {2**24}")
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 3 and err == ""
     assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+    # a scope of thousands costs one power, not a walk over frequency vectors
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv[:-1], "5000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        0, "monochromatic colorings: 64 / 64\nanalytic bound: 1152\ninequality holds\n", ""
+    )
+
+
+def test_oracle_verify_prints_bounds_of_any_length(capsys):
+    # 256 / (99999 * 2^99999) = 1 / (99999 * 2^99991): its denominator has
+    # 30,106 digits, past Python's limit of 4,300 for int-to-str, which text
+    # output never builds and JSON lifts while printing
+    argv = ["oracle", "verify", "--N", "4", "--k", "100000", "--family", "semi",
+            "--param", "1"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        0, "monochromatic colorings: 0 / 16\nanalytic bound: 0\ninequality holds\n", ""
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert limit() == before  # lifted while printing only
+    payload = json.loads(out)
+    num, den = map(decimal.Decimal, payload["bound_value"].split("/"))
+    assert (num, den) == (1, 99999 * 2**99991)
+    assert (payload["bound_value_float"], payload["bound_satisfied"]) == (0.0, True)
 
 
 @pytest.mark.parametrize("kind", ["semi", "quasi"])

@@ -1,10 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ramseyprog import oracle
-from ramseyprog.bounds import frequency_vectors, semi_counting_bound
 from ramseyprog.errors import BudgetExceededError
 from ramseyprog.oracle import (
     CountReport,
@@ -19,7 +19,7 @@ from ramseyprog.oracle import (
 )
 from ramseyprog.progressions import Coloring, Family, find_monochromatic
 
-from brute import mono_count, mono_with_first
+from brute import mono_count, mono_with_first, semi_counting_sum
 
 SEMI1 = Family.semi(1)
 SEMI2 = Family.semi(2)
@@ -277,12 +277,13 @@ def test_verify_refuses_the_semi_scope_before_counting(monkeypatch):
 
 
 def test_verify_holds_the_semi_frequency_vectors_to_the_budget(monkeypatch):
-    # k = 3, m = 5: C(k + m - 2, k - 1) = 15 vectors, and 2^4 = 16 colorings
-    assert len(list(frequency_vectors(2, 5))) == 15
+    # the closed form's power (1 - 2^-m)^(k - 1) has m(k - 1) bits; against
+    # 2^4 = 16 colorings, k = 2 runs up to m = 16 and k = 3 up to m = 8
     budget = OracleBudget(max_colorings=16)
-    rep = verify_counting_inequality(2, 4, 3, Family.semi(5), budget)
-    assert rep == CountReport(4, 3, Family.semi(5), 2, rep.mono_count, 16,
-                              semi_counting_bound(4, 3, 5).sum_form, True)
+    for k, m in ((2, 16), (3, 8)):
+        rep = verify_counting_inequality(2, 4, k, Family.semi(m), budget)
+        assert rep == CountReport(4, k, Family.semi(m), 2, rep.mono_count, 16,
+                                  semi_counting_sum(4, k, m), True)
     with pytest.raises(ValueError, match="need at least 2 terms"):
         verify_counting_inequality(2, 4, 1, Family.semi(10**23), budget)
 
@@ -291,9 +292,10 @@ def test_verify_holds_the_semi_frequency_vectors_to_the_budget(monkeypatch):
 
     monkeypatch.setattr(oracle, "semi_counting_bound", never)
     monkeypatch.setattr(oracle, "count_mono_colorings", never)
-    with pytest.raises(BudgetExceededError, match="21 frequency vectors exceed "
-                       "the budget of 16"):
-        verify_counting_inequality(2, 4, 3, Family.semi(6), budget)
+    for k, m in ((2, 17), (3, 9), (3, 10**23)):
+        message = f"the scope-{m} bound at k = {k} needs m(k - 1) bits, past the budget of 16"
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            verify_counting_inequality(2, 4, k, Family.semi(m), budget)
 
 
 def test_primary_checks_can_fail(monkeypatch):

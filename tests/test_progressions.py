@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -11,14 +13,19 @@ from ramseyprog.progressions import (
     fill_chains,
     find_monochromatic,
     forced_elements,
-    frequency_vector,
     pair_multiplicity,
     primary_progression,
     validate_progression,
     weight,
 )
 
-from brute import lexmin_primary, longest_chain
+from brute import (
+    frequency_vector,
+    frequency_vectors,
+    lexmin_primary,
+    longest_chain,
+    multinomial,
+)
 
 SEMI3 = Family.semi(3)
 WORKED_TERMS = (17, 32, 42, 47, 62, 72)
@@ -100,15 +107,16 @@ def test_conjugate_vector_cases():
 
 
 def test_frequency_vector():
-    assert frequency_vector((2, 1, 0, 2, 1), 3).counts == (1, 2, 2)
-    assert frequency_vector((0, 0, 0, 0), 3).counts == (4, 0, 0)
-    assert frequency_vector((0, 1, 0, 1), 2).counts == (2, 2)
+    # the histogram that groups conjugate vectors in the semi counting sum
+    assert frequency_vector((2, 1, 0, 2, 1), 3) == (1, 2, 2)
+    assert frequency_vector((0, 0, 0, 0), 3) == (4, 0, 0)
+    assert frequency_vector((0, 1, 0, 1), 2) == (2, 2)
     u = conjugate_vector(Progression(WORKED_TERMS, 5, SEMI3))
-    assert sum(frequency_vector(u, 3).counts) == len(u.entries)
-    with pytest.raises(ValueError):
-        frequency_vector((0, 2), 2)
-    with pytest.raises(ValueError):
-        frequency_vector((0, 1), 0)
+    assert frequency_vector(u.entries, 3) == (1, 2, 2)
+    # exactly multinomial(v) conjugate vectors share each histogram v
+    for t, m in ((4, 3), (5, 2), (3, 4)):
+        shared = Counter(frequency_vector(u, m) for u in product(range(m), repeat=t))
+        assert dict(shared) == {v: multinomial(v) for v in frequency_vectors(t, m)}
 
 
 def test_pair_multiplicity():
@@ -151,7 +159,7 @@ def test_semi_weight_matches_frequency_inner_product():
         m = rng.randint(1, 5)
         entries = tuple(rng.randint(0, m - 1) for _ in range(rng.randint(1, 9)))
         v = frequency_vector(entries, m)
-        inner = sum(j * vj for j, vj in enumerate(v.counts))
+        inner = sum(j * vj for j, vj in enumerate(v))
         assert weight(ConjugateVector(entries, Family.semi(m))) == inner
 
 
@@ -347,8 +355,8 @@ def test_find_monochromatic_matches_brute_force():
 
 
 def test_fill_chains_matches_brute_force():
-    # every low-difference's column at once, backward offsets over ascending
-    # points and forward offsets over descending points
+    # every low-difference's column, backward offsets over ascending points
+    # and forward offsets over descending points
     rng = random.Random(108)
     families = [Family.semi(m) for m in (1, 2, 3)] + [
         Family.quasi(n) for n in (0, 1, 2)
@@ -359,13 +367,11 @@ def test_fill_chains_matches_brute_force():
         N = rng.randint(1, 11)
         colors = [rng.randrange(r) for _ in range(N)]
         fam = rng.choice(families)
-        ds = range(1, max(N, 2))
-        gaps = [tuple(fam.allowed_gaps(d)) for d in ds]
-        ending = [(tuple(-g for g in gs), [0] * N) for gs in gaps]
-        starting = [(gs, [0] * N) for gs in gaps]
-        fill_chains(colors, range(N), ending)
-        fill_chains(colors, range(N - 1, -1, -1), starting)
-        for d, (_, back), (_, fwd) in zip(ds, ending, starting):
+        for d in range(1, max(N, 2)):
+            gaps = tuple(fam.allowed_gaps(d))
+            back, fwd = [0] * N, [0] * N
+            fill_chains(colors, range(N), tuple(-g for g in gaps), back)
+            fill_chains(colors, range(N - 1, -1, -1), gaps, fwd)
             for p in range(1, N + 1):
                 want = longest_chain(colors, p, d, fam.kind, fam.param, ending=True)
                 assert back[p - 1] == want

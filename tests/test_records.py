@@ -7,20 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ramseyprog.bounds import (
-    BoundResult,
-    ComparisonBounds,
-    SemiCountingBound,
-    TransferMatrix,
-)
+from ramseyprog.bounds import BoundResult, TransferMatrix
 from ramseyprog.oracle import CountReport, OracleBudget
-from ramseyprog.progressions import (
-    Coloring,
-    ConjugateVector,
-    Family,
-    FrequencyVector,
-    Progression,
-)
+from ramseyprog.progressions import Coloring, ConjugateVector, Family, Progression
 from ramseyprog.search import SearchBudget, ThresholdCertificate
 
 SEMI1, SEMI2, QUASI1 = Family("semi", 1), Family("semi", 2), Family("quasi", 1)
@@ -39,8 +28,6 @@ CASES = [
     (ConjugateVector, dict(entries=(0, 1), family=SEMI2),
      ConjugateVector((1, 0), SEMI2),
      "ConjugateVector(entries=(0, 1), family=Family(kind='semi', param=2))"),
-    (FrequencyVector, dict(counts=(1, 2)), FrequencyVector((2, 1)),
-     "FrequencyVector(counts=(1, 2))"),
     (SearchBudget, dict(max_nodes=2_000_000, max_length=64, seed=0, restarts=10),
      SearchBudget(seed=1),
      "SearchBudget(max_nodes=2000000, max_length=64, seed=0, restarts=10)"),
@@ -59,12 +46,6 @@ CASES = [
      CountReport(6, 3, SEMI1, 2, 10, 64),
      "CountReport(N=6, k=3, family=Family(kind='semi', param=1), r=2, "
      "mono_count=10, total=64, bound_value=Fraction(3, 2), bound_satisfied=False)"),
-    (SemiCountingBound,
-     dict(N=6, k=3, m=1, sum_form=Fraction(1), closed_form=Fraction(1),
-          displayed_form=Fraction(1, 2)),
-     SemiCountingBound(6, 3, 1, Fraction(1), Fraction(1), Fraction(1, 4)),
-     "SemiCountingBound(N=6, k=3, m=1, sum_form=Fraction(1, 1), "
-     "closed_form=Fraction(1, 1), displayed_form=Fraction(1, 2))"),
     (TransferMatrix, dict(r=2, n=1), TransferMatrix(3, 1),
      "TransferMatrix(r=2, n=1)"),
     (BoundResult,
@@ -74,12 +55,6 @@ CASES = [
      "BoundResult(family=Family(kind='quasi', param=1), r=2, base=1.5, "
      "lambda_max=1.25, lambda_lo=Fraction(5, 4), lambda_hi=Fraction(5, 4), "
      "useful=True)"),
-    (ComparisonBounds,
-     dict(r=2, n=1, k=10, m=1, naive_quasi=1.0, landman_semi=2.0,
-          semi_power=3.0, quasi_power=4.0),
-     ComparisonBounds(2, 1, 10, 1, 1.0, 2.0, 3.0, 5.0),
-     "ComparisonBounds(r=2, n=1, k=10, m=1, naive_quasi=1.0, landman_semi=2.0, "
-     "semi_power=3.0, quasi_power=4.0)"),
 ]
 
 
@@ -125,7 +100,6 @@ def test_keyword_construction_fills_the_defaults():
      "gaps of (1, 3, 4) not allowed for semi(m=1) with low-difference 1"),
     (lambda: ConjugateVector((), SEMI2), "conjugate vector must have at least one entry"),
     (lambda: ConjugateVector((2,), SEMI2), "entries must lie in [0, 1] for semi(m=2)"),
-    (lambda: FrequencyVector((1, -1)), "counts must be non-negative"),
     (lambda: SearchBudget(max_length=0),
      "budget fields must be positive (seed non-negative)"),
     (lambda: SearchBudget(seed=-1), "budget fields must be positive (seed non-negative)"),
