@@ -386,15 +386,20 @@ def weighted_conjugate_sum(
     S_tj is the sum of alpha^weight over all length-t quasi conjugate
     vectors whose first entry is j (alpha = 1 - 1/r).  Base case: length-1
     vectors have weight equal to their single entry, so S_1j = alpha^j.
-    Longer lengths follow the transfer-matrix recursion S_{t+1} = A S_t.
+    Longer lengths follow the transfer-matrix recursion S_{t+1} = A S_t,
+    run in integers as r^(n t) S_t: r^n S_1 is the weight vector
+    (r-1)^j r^(n-j) of B = r^n A, each step multiplies by B, and one
+    division at the end gives the exact Fractions.
     """
     if t < 1:
         raise ValueError("length must be at least 1")
     A = transfer_matrix(r, n)
-    vec = [A.alpha**j for j in range(n + 1)]
+    weights = [(r - 1) ** j * r ** (n - j) for j in range(A.dim)]
+    vec = weights
     for _ in range(t - 1):
-        vec = A.apply(vec)
-    return vec, sum(vec)
+        vec = _structured_product(weights, vec)
+    scale = r ** (n * t)
+    return [Fraction(v, scale) for v in vec], Fraction(sum(vec), scale)
 
 
 def quasi_counting_bound(r: int, N: int, k: int, n: int) -> Fraction:

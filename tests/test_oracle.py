@@ -300,7 +300,18 @@ def test_verify_holds_the_semi_frequency_vectors_to_the_budget(monkeypatch):
 
 def test_primary_checks_can_fail(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(oracle, "primary_progression", lambda *args: None)
+        m.setattr(oracle, "primary_walk", lambda *args: None)
+        assert not primary_partition_check(2, 5, 3, SEMI1, 1, 1)
+    # a walk whose last term is one point off: (1, 2, 4) where the scan
+    # finds (1, 2, 3) on the all-zero coloring
+    walk = oracle.primary_walk
+
+    def off_by_one(*args):
+        terms = walk(*args)
+        return terms and terms[:-1] + (terms[-1] + 1,)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "primary_walk", off_by_one)
         assert not primary_partition_check(2, 5, 3, SEMI1, 1, 1)
     # the weight-0 candidate (2, 4, 6) meets its bound exactly, so one more
     # forced cell makes it too small

@@ -15,6 +15,7 @@ from ramseyprog.progressions import (
     forced_elements,
     pair_multiplicity,
     primary_progression,
+    primary_walk,
     validate_progression,
     weight,
 )
@@ -290,10 +291,13 @@ def test_primary_progression_matches_brute_force():
         d = rng.randint(1, 3)
         got = primary_progression(chi, a, d, k, fam)
         want = lexmin_primary(chi.colors, a, d, k, fam.kind, fam.param)
+        # the walk on the raw tuple, as the oracle's partition check runs it
+        gaps = tuple(fam.allowed_gaps(d)[:N])
+        walked = primary_walk(chi.colors, a, k, gaps, min(N, a + (k - 1) * gaps[-1]))
         if want is None:
-            assert got is None
+            assert got is None and walked is None
         else:
-            assert got is not None and got.terms == want
+            assert got is not None and got.terms == want == walked
             agreements += 1
             long_agreements += k >= 5
     assert agreements > 100 and long_agreements > 10
