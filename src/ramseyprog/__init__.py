@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOME = {  # public name -> the submodule it lives in
     name: module
     for module, names in (
-        ("bounds", "BoundResult TransferMatrix alpha_semi beta_quasi beta_table "
+        ("bounds", "BoundResult alpha_semi beta_quasi beta_table "
                    "lambda_max_by_charpoly perron_bracket quasi_counting_bound "
                    "semi_bound semi_counting_bound transfer_matrix "
                    "weighted_conjugate_sum"),

@@ -24,13 +24,14 @@ of a positive (n+1) x (n+1) transfer matrix with entries alpha^min(i, n-j),
 alpha = 1 - 1/r.
 
 Rational quantities (weighted sums, counting bounds) are kept as exact
-Fractions.  The transfer matrix is defined by (r, n) alone and applied in
+Fractions.  The transfer matrix is never formed: B = r^n A is the n+1
+integer weights (r-1)^t r^(n-t), built in one place, and B is applied in
 O(n) from its structure.  Its Perron root is enclosed in an exact rational
 Collatz-Wielandt bracket (``perron_bracket``), narrowed by inverse iteration
 solved in O(n) in big-integer fixed point, and threshold floors are decided
 from both ends of it; floats are only for display.  Exact-rational bisection
-on the Sturm sequence of the characteristic polynomial is an independent
-check.
+on the Sturm sequence of the characteristic polynomial of the dense rows
+(``transfer_matrix``) is an independent check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from .errors import BudgetExceededError, ConvergenceError
-from .progressions import Family, pair_multiplicity, record
+from .progressions import Family, record
 
 MAX_MATRIX_DIM = 64
 MAX_POWER_STEPS = 64  # cap on perron_bracket's inverse-iteration steps
@@ -68,67 +69,32 @@ def semi_counting_bound(N: int, k: int, m: int) -> Fraction:
     return Fraction(N * N, k - 1) * 2**N * (1 - Fraction(1, 2**m)) ** (k - 1)
 
 
-@record
-class TransferMatrix:
-    """The positive (n+1) x (n+1) matrix driving the quasi-progression bound.
+def _scaled_weights(r: int, n: int) -> List[int]:
+    """The weights w_t = (r-1)^t r^(n-t) of B = r^n A.  A's entry (i, j) is
+    alpha^min(i, n-j), with the pair multiplicity of adjacent conjugate entries
+    (i, j) as exponent, so row i of B is w_i up to column n-i and w_(n-j) after."""
+    if r < 2:
+        raise ValueError("need at least 2 colors")
+    if n < 0:
+        raise ValueError("diameter must be non-negative")
+    if n + 1 > MAX_MATRIX_DIM:
+        raise ValueError(f"matrix dimension {n + 1} exceeds {MAX_MATRIX_DIM}")
+    return [(r - 1) ** t * r ** (n - t) for t in range(n + 1)]
 
-    entry[i][j] = alpha^min(i, n-j) with alpha = 1 - 1/r, so row 0 and
-    column n are all ones and the exponent is exactly the pair multiplicity
-    of adjacent conjugate entries (i, j).  (r, n) defines it; it is never
-    stored.  Row i is alpha^i up to column n-i and alpha^(n-j) after it, so
 
-        (Av)_i = alpha^i (v_0 + ... + v_(n-i)) + sum_(t<i) alpha^t v_(n-t),
+def transfer_matrix(r: int, n: int) -> tuple:
+    """The dense rows of the transfer matrix for r colors and diameter n, as
+    Fractions alpha^min(i, n-j), for cross-checks only."""
+    powers = [Fraction(w, r**n) for w in _scaled_weights(r, n)]  # alpha^t
+    dim = range(n + 1)
+    return tuple(tuple(powers[min(i, n - j)] for j in dim) for i in dim)
 
-    an O(n) product with one prefix sum and one running tail.
+
+def _structured_product(weights: Sequence[int], vec: Sequence[int]) -> List[int]:
+    """B vec in O(n), with one prefix sum and one running tail:
+
+        (B v)_i = w_i (v_0 + ... + v_(n-i)) + sum_(t<i) w_t v_(n-t).
     """
-
-    r: int
-    n: int
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("need at least 2 colors")
-        if self.n < 0:
-            raise ValueError("diameter must be non-negative")
-        if self.dim > MAX_MATRIX_DIM:
-            raise ValueError(f"matrix dimension {self.dim} exceeds {MAX_MATRIX_DIM}")
-
-    @property
-    def alpha(self) -> Fraction:
-        return 1 - Fraction(1, self.r)
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
-
-    @property
-    def entries(self) -> tuple:
-        """The dense rows as Fractions, for cross-checks only."""
-        powers = [self.alpha**e for e in range(self.dim)]
-        return tuple(
-            tuple(powers[pair_multiplicity(i, j, self.n)] for j in range(self.dim))
-            for i in range(self.dim)
-        )
-
-    def row_sums(self) -> List[Fraction]:
-        return self.apply([Fraction(1)] * self.dim)
-
-    def apply(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        """Matrix-vector product in exact rationals."""
-        if len(vec) != self.dim:
-            raise ValueError("vector length must match matrix dimension")
-        return _structured_product([self.alpha**t for t in range(self.dim)], vec)
-
-
-def transfer_matrix(r: int, n: int) -> TransferMatrix:
-    """The transfer matrix for r colors and diameter n."""
-    return TransferMatrix(r, n)
-
-
-def _structured_product(weights: Sequence, vec: Sequence) -> list:
-    """(Mv)_i = w_i (v_0 + ... + v_(n-i)) + sum_(t<i) w_t v_(n-t): the
-    transfer matrix times vec for w_t = alpha^t, and r^n times it for
-    w_t = (r-1)^t r^(n-t)."""
     n = len(vec) - 1
     prefix = list(accumulate(vec))
     out, tail = [], 0
@@ -138,13 +104,14 @@ def _structured_product(weights: Sequence, vec: Sequence) -> list:
     return out
 
 
-def _march(r: int, sigma: int, prec: int, v: Sequence[int], first: int, last: int):
-    """x with x_0 = first and x_n = last from (s I - B) x = v, where
-    B = r^n A and s = sigma / 2^prec, in fixed point; and the two residuals
-    that vanish when x solves all of it.
+def _march(weights: Sequence[int], sigma: int, prec: int, v: Sequence[int],
+           first: int, last: int):
+    """x with x_0 = first and x_n = last from (s I - B) x = v, where B has
+    the given weights and s = sigma / 2^prec, in fixed point; and the two
+    residuals that vanish when x solves all of it.
 
-    Row 0 of B is r^n throughout, and row i+1 minus row i is -d_i on columns
-    0..n-1-i and 0 after, d_i = (r-1)^i r^(n-1-i).  So with S(m) the sum of
+    Row 0 of B is w_0 = r^n throughout, and row i+1 minus row i is -d_i on
+    columns 0..n-1-i and 0 after, d_i = w_i - w_(i+1).  So with S(m) the sum of
     x_0..x_m, the rows read s x_0 - v_0 = r^n S(n) and
 
         s (x_(i+1) - x_i) = v_(i+1) - v_i - d_i S(n-1-i),
@@ -155,8 +122,8 @@ def _march(r: int, sigma: int, prec: int, v: Sequence[int], first: int, last: in
     S(n) less the sum of x.
     """
     n = len(v) - 1
-    drops = [(r - 1) ** i * r ** (n - 1 - i) for i in range(n)]
-    total = (sigma * first - (v[0] << prec)) // (r**n << prec)  # S(n), by row 0
+    drops = [a - b for a, b in zip(weights, weights[1:])]
+    total = (sigma * first - (v[0] << prec)) // (weights[0] << prec)  # S(n), by row 0
     up, down = [first], [last]  # x_0, x_1, ... and x_n, x_(n-1), ...
     up_sums, down_sums = [first], [last]
     for step in range(n):
@@ -174,8 +141,9 @@ def _march(r: int, sigma: int, prec: int, v: Sequence[int], first: int, last: in
     return up + down[-2::-1], residuals
 
 
-def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fraction]:
-    """Exact Fractions lo <= lambda_max(A) <= hi with (hi - lo) * 2^bits <= lo.
+def perron_bracket(r: int, n: int, bits: int = 48) -> Tuple[Fraction, Fraction]:
+    """Exact Fractions lo <= lambda_max <= hi with (hi - lo) * 2^bits <= lo,
+    for the transfer matrix A of r colors and diameter n.
 
     lo and hi are min_i and max_i of (Av)_i / v_i, which bracket the Perron
     root for any positive v (Collatz-Wielandt), taken exactly with A scaled
@@ -186,14 +154,13 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
     most ``bits``) plus the bits v spans and 64 guard bits.  The bits held
     about double per step; MAX_POWER_STEPS caps the steps.
     """
-    r, n = A.r, A.n
-    zeros = [0] * A.dim
-    weights = [(r - 1) ** t * r ** (n - t) for t in range(A.dim)]  # B = r^n A
-    v = _structured_product(weights, [1] * A.dim)
+    weights = _scaled_weights(r, n)
+    zeros = [0] * (n + 1)
+    v = _structured_product(weights, [1] * (n + 1))
     for _ in range(MAX_POWER_STEPS + 1):
         w = _structured_product(weights, v)
         lo = hi = 0  # the least and greatest w_i / v_i, by cross-multiplying
-        for i in range(1, A.dim):
+        for i in range(1, n + 1):
             if w[i] * v[lo] < w[lo] * v[i]:
                 lo = i
             elif w[i] * v[hi] > w[hi] * v[i]:
@@ -205,9 +172,9 @@ def perron_bracket(A: TransferMatrix, bits: int = 48) -> Tuple[Fraction, Fractio
         prec = min(2 * held, bits) + max(v).bit_length() - min(v).bit_length() + 64
         sigma = (w[hi] << prec) // v[hi] + 1  # s = sigma / 2^prec, just above hi
         lift = max(0, sigma.bit_length() - max(v).bit_length())  # x is about v / s
-        x_v, res_v = _march(r, sigma, prec, [e << lift for e in v], 0, 0)
-        x_0, res_0 = _march(r, sigma, prec, zeros, 1 << prec, 0)
-        x_n, res_n = _march(r, sigma, prec, zeros, 0, 1 << prec)
+        x_v, res_v = _march(weights, sigma, prec, [e << lift for e in v], 0, 0)
+        x_0, res_0 = _march(weights, sigma, prec, zeros, 1 << prec, 0)
+        x_n, res_n = _march(weights, sigma, prec, zeros, 0, 1 << prec)
         # x_v + c_0 x_0 + c_n x_n zeroes both residuals (Cramer), times det
         det = res_0[0] * res_n[1] - res_0[1] * res_n[0]
         c_0 = res_n[0] * res_v[1] - res_n[1] * res_v[0]
@@ -245,8 +212,9 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List, List]:
     return quot, a
 
 
-def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
-    """Perron root by exact-rational bisection on det(xI - A).
+def lambda_max_by_charpoly(rows: Sequence[Sequence], tol: float = 1e-12) -> float:
+    """Perron root of the matrix with these rows, by exact-rational bisection
+    on det(xI - A).
 
     Independent of perron_bracket: the Sturm sequence of the exact
     characteristic polynomial counts its distinct real roots above any x,
@@ -254,7 +222,7 @@ def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
     the largest, above ``lo``.  Intended for small matrices (cross-check
     path); cost grows quickly with dimension.
     """
-    p = _charpoly(A.entries)
+    p = _charpoly(rows)
     seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
     while len(seq[-1]) > 1 and (rem := _poly_divmod(seq[-2], seq[-1])[1]):
         seq.append([-c for c in rem])
@@ -272,7 +240,7 @@ def lambda_max_by_charpoly(A: TransferMatrix, tol: float = 1e-12) -> float:
                 signs.append(value > 0)
         return sum(s != t for s, t in zip(signs, signs[1:])) - at_infinity
 
-    hi = max(sum(abs(a) for a in row) for row in A.entries) + 1
+    hi = max(sum(abs(a) for a in row) for row in rows) + 1
     lo = -hi
     if not roots_above(lo):
         raise ArithmeticError("characteristic polynomial has no real root")
@@ -323,8 +291,7 @@ class BoundResult:
                 if floor_lo == _sqrt_power_floor(self.r / lo, k, bits + 16, up=True):
                     return floor_lo
                 if lo < hi:  # quasi: refine the Perron bracket
-                    A = transfer_matrix(self.r, self.family.param)
-                    lo, hi = perron_bracket(A, bits)
+                    lo, hi = perron_bracket(self.r, self.family.param, bits)
                 bits *= 2
         except OverflowError:
             raise BudgetExceededError(
@@ -366,11 +333,11 @@ def beta_quasi(r: int, n: int) -> BoundResult:
     and further while r lies inside the bracket, so ``useful`` is certain."""
     if n < 1:
         raise ValueError("diameter must be at least 1 for the spectral bound")
-    A, bits = transfer_matrix(r, n), 48
-    lo, hi = perron_bracket(A, bits)
+    bits = 48
+    lo, hi = perron_bracket(r, n, bits)
     while lo < r <= hi:
         bits *= 2
-        lo, hi = perron_bracket(A, bits)
+        lo, hi = perron_bracket(r, n, bits)
     lam = float((lo + hi) / 2)
     if lam > hi:  # a bracket narrower than a float ulp may hold no float
         lam = math.nextafter(lam, 0)
@@ -393,8 +360,7 @@ def weighted_conjugate_sum(
     """
     if t < 1:
         raise ValueError("length must be at least 1")
-    A = transfer_matrix(r, n)
-    weights = [(r - 1) ** j * r ** (n - j) for j in range(A.dim)]
+    weights = _scaled_weights(r, n)
     vec = weights
     for _ in range(t - 1):
         vec = _structured_product(weights, vec)

@@ -19,6 +19,7 @@ refusal.
 from __future__ import annotations
 
 import importlib
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -70,9 +71,14 @@ class OracleBudget:
             raise BudgetExceededError(
                 f"N={N} exceeds the {self.max_points}-point oracle budget"
             )
-        if r**N > self.max_colorings:
+        bits = N * (r.bit_length() - 1)  # r^N >= 2^bits, so r^N need not be built
+        if bits >= self.max_colorings.bit_length() or r**N > self.max_colorings:
+            # over 4 bits a digit of the int-to-str limit, r^N has too many to print
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            too_long = bits > 4 * limit or r**N >= 10**limit
             raise BudgetExceededError(
-                f"r^N = {r**N} colorings exceed the budget of {self.max_colorings}"
+                f"r^N = {f'{r}^{N}' if too_long else r**N} colorings exceed the budget "
+                f"of {self.max_colorings}"
             )
 
 

@@ -21,7 +21,6 @@ from ramseyprog.bounds import (
     perron_bracket,
     semi_bound,
     semi_counting_bound,
-    transfer_matrix,
     weighted_conjugate_sum,
 )
 from ramseyprog.cli import main
@@ -84,7 +83,7 @@ def test_acceptance_1_table_reproduction():
 
 
 def test_acceptance_2_closed_form_eigenvalue():
-    lo, hi = perron_bracket(transfer_matrix(2, 1))
+    lo, hi = perron_bracket(2, 1)
     ok = all(abs(end - (1 + 1 / math.sqrt(2))) <= 1e-10 for end in (lo, hi))
 
     # independent quartic oracle: bisect y^4 - 8y^2 + 8 on [1, 1.2]

@@ -2,7 +2,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -95,78 +94,76 @@ def test_semi_counting_bound_validation():
 
 
 def test_transfer_matrix_entries():
-    A = transfer_matrix(2, 1)
-    assert A.entries == (
+    assert transfer_matrix(2, 1) == (
         (Fraction(1), Fraction(1)),
         (Fraction(1, 2), Fraction(1)),
     )
-    A = transfer_matrix(3, 2)
-    assert A.entries == (
+    assert transfer_matrix(3, 2) == (
         (Fraction(1), Fraction(1), Fraction(1)),
         (Fraction(2, 3), Fraction(2, 3), Fraction(1)),
         (Fraction(4, 9), Fraction(2, 3), Fraction(1)),
     )
-    assert transfer_matrix(5, 0).entries == ((Fraction(1),),)
+    assert transfer_matrix(5, 0) == ((Fraction(1),),)
 
 
 def test_transfer_matrix_entry_law():
     for r in (2, 3, 4):
         for n in (0, 1, 2, 3, 4):
-            A = transfer_matrix(r, n)
+            rows = transfer_matrix(r, n)
             alpha = 1 - Fraction(1, r)
             for i in range(n + 1):
                 for j in range(n + 1):
-                    assert A.entries[i][j] == alpha ** pair_multiplicity(i, j, n)
-            assert all(x == 1 for x in A.entries[0])
-            assert all(row[n] == 1 for row in A.entries)
-            assert all(0 < x <= 1 for row in A.entries for x in row)
+                    assert rows[i][j] == alpha ** pair_multiplicity(i, j, n)
+            assert all(x == 1 for x in rows[0])
+            assert all(row[n] == 1 for row in rows)
+            assert all(0 < x <= 1 for row in rows for x in row)
 
 
 def test_transfer_matrix_validation():
-    with pytest.raises(ValueError):
-        transfer_matrix(1, 1)
-    with pytest.raises(ValueError):
-        transfer_matrix(2, -1)
-    with pytest.raises(ValueError):
-        transfer_matrix(2, 64)  # dimension 65 exceeds the supported cap
+    # the one weight builder refuses for every reader of the matrix
+    for read in (transfer_matrix, perron_bracket,
+                 lambda r, n: weighted_conjugate_sum(1, r, n)):
+        with pytest.raises(ValueError):
+            read(1, 1)
+        with pytest.raises(ValueError):
+            read(2, -1)
+        with pytest.raises(ValueError):
+            read(2, 64)  # dimension 65 exceeds the supported cap
 
 
 def test_dominant_eigenvalue_closed_form():
     # lambda(2, 1) = 1 + 1/sqrt(2) exactly: (lambda - 1)^2 = 1/2
-    lo, hi = perron_bracket(transfer_matrix(2, 1))
+    lo, hi = perron_bracket(2, 1)
     assert (lo - 1) ** 2 <= Fraction(1, 2) <= (hi - 1) ** 2
     assert (hi - lo) * 2**48 <= lo
-    assert perron_bracket(transfer_matrix(2, 0)) == (1, 1)
-    lo, hi = perron_bracket(transfer_matrix(3, 2))
+    assert perron_bracket(2, 0) == (1, 1)
+    lo, hi = perron_bracket(3, 2)
     assert 2.425005 - 1e-4 <= lo <= hi <= 2.425005 + 1e-4
 
 
 def test_dominant_eigenvalue_sandwich_and_positivity():
     for r in (2, 3, 4, 6):
         for n in (1, 2, 3, 5):
-            A = transfer_matrix(r, n)
-            sums = A.row_sums()
+            sums = [sum(row) for row in transfer_matrix(r, n)]
             for bits in (48, 120):
-                lo, hi = perron_bracket(A, bits)
+                lo, hi = perron_bracket(r, n, bits)
                 assert 0 < min(sums) <= lo <= hi <= max(sums)
                 assert (hi - lo) * 2**bits <= lo
 
 
 def test_dominant_eigenvalue_convergence_error(monkeypatch):
-    A = transfer_matrix(3, 2)
-    lo, hi = perron_bracket(A, bits=200)
+    lo, hi = perron_bracket(3, 2, bits=200)
     assert (hi - lo) * 2**200 <= lo
     monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 0)
     with pytest.raises(ConvergenceError):
-        perron_bracket(A, bits=200)
+        perron_bracket(3, 2, bits=200)
 
 
 def test_charpoly_cross_check():
     for r in (2, 3, 4):
         for n in (1, 2, 3):
-            A = transfer_matrix(r, n)
-            lo, hi = perron_bracket(A)
-            bisected = lambda_max_by_charpoly(A)
+            lo, hi = perron_bracket(r, n)
+            bisected = lambda_max_by_charpoly(transfer_matrix(r, n))
             assert lo - 1e-11 <= bisected <= hi + 1e-11
 
 
@@ -189,12 +186,12 @@ def test_charpoly_brackets_the_largest_root():
         ((3, Fraction(59, 20), Fraction(29, 10), Fraction(57, 20)), 3.0000374645489),
     ):
         rows = _near_diagonal(diagonal)
-        lam = lambda_max_by_charpoly(SimpleNamespace(entries=rows))
+        lam = lambda_max_by_charpoly(rows)
         lo, hi = dense_perron_bracket(rows, bits=60)
         assert lo - 1e-11 <= lam <= hi + 1e-11
         assert lam == pytest.approx(expected, abs=1e-12)
     # repeated roots (0 twice) at the first bisection midpoint
-    ones = SimpleNamespace(entries=[[Fraction(1)] * 3] * 3)
+    ones = [[Fraction(1)] * 3] * 3
     assert lambda_max_by_charpoly(ones) == pytest.approx(3.0, abs=1e-11)
 
 
@@ -202,16 +199,16 @@ def test_structured_product_matches_dense_rows():
     rng = random.Random(8)
     for r in (2, 3, 5, 10):
         for n in (0, 1, 2, 7, 30, 63):
-            A = transfer_matrix(r, n)
+            weights, rows = bounds._scaled_weights(r, n), transfer_matrix(r, n)
             for _ in range(3):
                 vec = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
-                dense = [sum(a * x for a, x in zip(row, vec)) for row in A.entries]
-                assert A.apply(vec) == dense, (r, n)
+                dense = [r**n * sum(a * x for a, x in zip(row, vec)) for row in rows]
+                assert bounds._structured_product(weights, vec) == dense, (r, n)
 
 
 def _assert_brackets_agree(r, n, bits):
-    lo, hi = perron_bracket(transfer_matrix(r, n), bits)
-    dense_lo, dense_hi = dense_perron_bracket(transfer_matrix(r, n).entries, bits)
+    lo, hi = perron_bracket(r, n, bits)
+    dense_lo, dense_hi = dense_perron_bracket(transfer_matrix(r, n), bits)
     assert 0 < lo <= hi and (hi - lo) * 2**bits <= lo, (r, n, bits)
     assert lo <= dense_hi and dense_lo <= hi, (r, n, bits)
 

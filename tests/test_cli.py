@@ -313,6 +313,41 @@ def test_oracle_budget_exceeded_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("N, count", [
+    ("30", "1073741824"),  # r^N prints as it has always printed
+    ("14284", str(2**14284)),  # 4300 digits: the longest r^N that prints
+    ("14285", "2^14285"),
+    ("1000000000", "2^1000000000"),
+    ("100000000000", "2^100000000000"),
+], ids=["30", "14284", "14285", "10**9", "10**11"])
+def test_oracle_refuses_a_long_sweep_before_building_r_to_the_n(capsys, N, count):
+    argv = ["oracle", "count", "--N", N, "--k", "3", "--family", "semi",
+            "--param", "1", "--max-points", str(10 * int(N))]
+    message = f"r^N = {count} colorings exceed the budget of {2**24}"
+    t0 = time.perf_counter()
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "quasi", "--r", "1", "--n", "1"], "need at least 2 colors"),
+    (["bound", "quasi", "--r", "2", "--n", "64"], "matrix dimension 65 exceeds 64"),
+    (["table", "--r-max", "2", "--n-max", "64"], "matrix dimension 65 exceeds 64"),
+    (["oracle", "verify", "--family", "quasi", "--param", "64", "--N", "5", "--k", "3"],
+     "matrix dimension 65 exceeds 64"),
+    (["oracle", "verify", "--family", "quasi", "--param", "1", "--N", "5", "--k", "3",
+      "--r", "1"], "need at least 2 colors"),
+])
+def test_transfer_matrix_refusals_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": message, "type": "ValueError"}
+
+
 def test_oracle_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("RAMSEYPROG_MAX_POINTS", "4")
     code, _, _ = run(capsys, "oracle", "count", "--N", "5", "--k", "3",

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from ramseyprog.bounds import BoundResult, TransferMatrix
+from ramseyprog.bounds import (
+    BoundResult,
+    perron_bracket,
+    transfer_matrix,
+    weighted_conjugate_sum,
+)
 from ramseyprog.oracle import CountReport, OracleBudget
 from ramseyprog.progressions import Coloring, ConjugateVector, Family, Progression
 from ramseyprog.search import SearchBudget, ThresholdCertificate
@@ -46,8 +51,6 @@ CASES = [
      CountReport(6, 3, SEMI1, 2, 10, 64),
      "CountReport(N=6, k=3, family=Family(kind='semi', param=1), r=2, "
      "mono_count=10, total=64, bound_value=Fraction(3, 2), bound_satisfied=False)"),
-    (TransferMatrix, dict(r=2, n=1), TransferMatrix(3, 1),
-     "TransferMatrix(r=2, n=1)"),
     (BoundResult,
      dict(family=QUASI1, r=2, base=1.5, lambda_max=1.25, lambda_lo=Fraction(5, 4),
           lambda_hi=Fraction(5, 4), useful=True),
@@ -104,9 +107,9 @@ def test_keyword_construction_fills_the_defaults():
      "budget fields must be positive (seed non-negative)"),
     (lambda: SearchBudget(seed=-1), "budget fields must be positive (seed non-negative)"),
     (lambda: OracleBudget(-1), "oracle budget caps must be non-negative"),
-    (lambda: TransferMatrix(1, 1), "need at least 2 colors"),
-    (lambda: TransferMatrix(2, -1), "diameter must be non-negative"),
-    (lambda: TransferMatrix(2, 64), "matrix dimension 65 exceeds 64"),
+    (lambda: perron_bracket(1, 1), "need at least 2 colors"),
+    (lambda: weighted_conjugate_sum(1, 2, -1), "diameter must be non-negative"),
+    (lambda: transfer_matrix(2, 64), "matrix dimension 65 exceeds 64"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
