@@ -6,11 +6,17 @@ contain a monochromatic k-term progression, and whether the analytic
 counting bounds dominate those counts.  The count walks colored prefixes
 and settles a whole subtree at once when its prefix already holds a
 monochromatic progression.  The two primary-progression checks share one
-sweep that visits every coloring and scans for its (a, d)-primary
-progression: the partition check that the walk behind primary_progression
-(primary_walk, run on the plain color tuple) finds the same one, and None
-exactly when the scan does; the forced check that no progression is
-primary for more colorings than its forced elements allow.
+sweep that scans for the (a, d)-primary progression.  Every candidate lies
+in the window W = [a, min(N, a + (k-1) * max gap)], so the sweep visits the
+r^|W| colorings of W, and each stands for the r^(N - |W|) colorings of
+[1, N] that agree with it there.  The forced check counts each
+progression's colorings that way, checks on each that the forced elements
+are off the primary's color, and that no progression is primary for more
+colorings than its forced elements allow.  The partition check still sees
+every coloring: it splices each window coloring between every coloring of
+the points outside W, and checks that the walk behind primary_progression
+(primary_walk, run on the plain color tuple) finds the scan's progression,
+and None exactly when the scan does.
 This is the module the analytic side is checked against, so it stays
 deliberately dumb: no symmetry tricks, no sampling, exact integers or
 refusal.
@@ -31,6 +37,7 @@ from .progressions import (
     Family,
     Progression,
     conjugate_vector,
+    forced_elements,
     primary_progression,  # unused here; the benchmark's tracer wraps oracle.<name>
     primary_walk,
     record,
@@ -206,7 +213,16 @@ def _family_bound(
                 f"past the budget of {budget.max_colorings}"
             )
         return semi_counting_bound(N, k, m)
-    return quasi_counting_bound(r, N, k, family.param)
+    # the transfer-matrix integers hold about n(k - 1) log2(r) bits, and the
+    # power r^(N - k + 1) about (k - 1) log2(r) more (at n = 0, it alone)
+    n = family.param
+    if (k - 1) * (n + 1) * (r - 1).bit_length() > budget.max_colorings:
+        raise BudgetExceededError(
+            f"the diameter-{n} bound at r = {r}, k = {k} needs "
+            f"(n + 1)(k - 1) ceil(log2 r) bits, past the budget of "
+            f"{budget.max_colorings}"
+        )
+    return quasi_counting_bound(r, N, k, n)
 
 
 def verify_counting_inequality(
@@ -215,9 +231,10 @@ def verify_counting_inequality(
     """Compare the exhaustive monochromatic-coloring count against the
     analytic upper bound for the family; bound_satisfied records whether
     the bound held.  A False result is a finding, not an exception.  The
-    budget (r^N colorings, and for semi the m(k - 1) bits of the bound's
-    power, both against max_colorings) and the bound's scope are checked
-    before the bound or the count runs."""
+    budget (r^N colorings, and the bits of the bound's powers: m(k - 1)
+    for semi, (n + 1)(k - 1) ceil(log2 r) for quasi, all against
+    max_colorings) and the bound's scope are checked before the bound or
+    the count runs."""
     budget.check(r, N)
     bound = _family_bound(r, N, k, family, budget)
     count = count_mono_colorings(r, N, k, family, budget)
@@ -226,21 +243,25 @@ def verify_counting_inequality(
 
 
 def _primaries(
-    r: int, N: int, candidates: Tuple[Tuple[int, ...], ...]
+    r: int, a: int, last: int, candidates: Tuple[Tuple[int, ...], ...]
 ) -> Iterator[Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]]:
-    """Every r-coloring of [1, N] with its primary progression found by scan:
-    the first monochromatic candidate in conjugate-lex order, or None."""
-    for colors in product(range(r), repeat=N):
-        for terms in candidates:
-            c = colors[terms[0] - 1]
-            for t in terms:
-                if colors[t - 1] != c:
+    """Every r-coloring of the window [a, last] (point a + i has color
+    window[i]) with its primary progression found by scan: the first
+    monochromatic candidate in conjugate-lex order, or None.  The candidates
+    all lie in the window, so on a coloring of [1, N] the scan gives the
+    same answer as on its window's colors."""
+    offsets = [(terms, [t - a for t in terms[1:]]) for terms in candidates]
+    for window in product(range(r), repeat=last - a + 1):
+        c = window[0]  # every candidate starts at a
+        for terms, points in offsets:
+            for i in points:
+                if window[i] != c:
                     break
             else:  # every term has the first term's color
-                yield colors, terms
+                yield window, terms
                 break
         else:
-            yield colors, None
+            yield window, None
 
 
 def primary_partition_check(
@@ -261,8 +282,11 @@ def primary_partition_check(
     the walk behind primary_progression returns that candidate's terms, and
     None exactly when no candidate is monochromatic (so on every coloring
     when no candidate fits in [1, N]).  The walk runs on the plain color
-    tuple, with its gaps and window worked out once; terms equal to a valid
-    candidate's are themselves a valid progression.
+    tuple, with its gaps and window [a, last] worked out once; terms equal
+    to a valid candidate's are themselves a valid progression.  The scan
+    runs once per coloring of the window, and the walk on every coloring of
+    [1, N]: the window's colors spliced between each coloring of the points
+    before a and each coloring of the points after last.
     """
     budget.check(r, N)
     candidates = progressions_from(N, k, family, a, d)
@@ -270,9 +294,12 @@ def primary_partition_check(
         raise ValueError("a coloring needs at least 2 colors")
     gaps = tuple(family.allowed_gaps(d)[:N])
     last = min(N, a + (k - 1) * gaps[-1])
-    for colors, primary in _primaries(r, N, candidates):
-        if primary_walk(colors, a, k, gaps, last) != primary:
-            return False
+    for window, primary in _primaries(r, a, last, candidates):
+        for before in product(range(r), repeat=a - 1):
+            head = before + window
+            for after in product(range(r), repeat=N - last):
+                if primary_walk(head + after, a, k, gaps, last) != primary:
+                    return False
     return True
 
 
@@ -285,18 +312,37 @@ def forced_count_check(
     d: int,
     budget: OracleBudget = OracleBudget(),
 ) -> bool:
-    """Check the per-progression primary-count bound implied by forced
-    elements: a progression P of weight w fixes its own k cells and forces
-    w more cells off its color, so at most r * (r-1)^w * r^(N-k-w)
-    colorings can have P as their (a, d)-primary progression."""
+    """Check the forced elements of the primary progression on every
+    coloring, and the per-progression primary-count bound they imply.
+
+    When P is the (a, d)-primary progression, each point of
+    forced_elements(P) has a color other than P's (the exchange lemma).
+    So P of weight w fixes its own k cells and forces w more cells off its
+    color, and at most r * (r-1)^w * r^(N-k-w) colorings can have P as
+    their (a, d)-primary progression.  Each coloring of the window W that
+    _primaries sweeps stands for the r^(N - |W|) colorings of [1, N] that
+    agree with it there.
+    """
     budget.check(r, N)
     candidates = progressions_from(N, k, family, a, d)
     if not candidates:
         return True
-    counts = Counter(p for _, p in _primaries(r, N, candidates) if p is not None)
+    last = min(N, a + (k - 1) * family.allowed_gaps(d)[:N][-1])
+    progressions = {terms: Progression(terms, d, family) for terms in candidates}
+    # each candidate's forced points as window offsets, found once
+    forced = {terms: [e - a for e in forced_elements(progression)]
+              for terms, progression in progressions.items()}
+    counts = Counter()
+    for window, primary in _primaries(r, a, last, candidates):
+        if primary is not None:
+            for e in forced[primary]:
+                if window[e] == window[0]:
+                    return False
+            counts[primary] += 1
+    outside = r ** (N - (last - a + 1))
     for terms, observed in counts.items():
-        w = weight(conjugate_vector(Progression(terms, d, family)))
+        w = weight(conjugate_vector(progressions[terms]))
         allowed = r * (r - 1) ** w * r ** (N - k - w)
-        if observed > allowed:
+        if observed * outside > allowed:
             return False
     return True

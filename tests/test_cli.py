@@ -203,6 +203,23 @@ def test_oracle_verify_refuses_a_semi_scope_past_the_vector_budget(capsys):
     )
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_oracle_verify_refuses_a_quasi_bound_past_the_budget(capsys, n):
+    # no progression fits in 4 points, but the bound's integers would hold
+    # about (n + 1)(k - 1) bits: refused before the bound runs, at n = 0 too
+    argv = ["oracle", "verify", "--N", "4", "--k", str(10**9), "--family", "quasi",
+            "--param", n]
+    message = (f"the diameter-{n} bound at r = 2, k = {10**9} needs "
+               f"(n + 1)(k - 1) ceil(log2 r) bits, past the budget of {2**24}")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": message, "type": "BudgetExceededError"}
+
+
 def test_oracle_verify_prints_bounds_of_any_length(capsys):
     # 256 / (99999 * 2^99999) = 1 / (99999 * 2^99991): its denominator has
     # 30,106 digits, past Python's limit of 4,300 for int-to-str, which text

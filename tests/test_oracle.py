@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,9 +19,22 @@ from ramseyprog.oracle import (
     progressions_from,
     verify_counting_inequality,
 )
-from ramseyprog.progressions import Coloring, Family, find_monochromatic
+from ramseyprog.progressions import (
+    Coloring,
+    Family,
+    Progression,
+    find_monochromatic,
+    forced_elements,
+)
 
-from brute import mono_count, mono_with_first, semi_counting_sum
+from brute import (
+    conjugate,
+    lexmin_primary,
+    mono_count,
+    mono_with_first,
+    semi_counting_sum,
+    weight_of,
+)
 
 SEMI1 = Family.semi(1)
 SEMI2 = Family.semi(2)
@@ -231,6 +246,56 @@ def test_forced_count_examples():
     assert forced_count_check(3, 6, 3, Family.quasi(1), 1, 2)
 
 
+ALL_FAMILIES = [Family.semi(m) for m in (1, 2, 3)] + [Family.quasi(n) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=str)
+@pytest.mark.parametrize("r, N_max", [(2, 10), (3, 6)])
+def test_window_counts_equal_full_counts(monkeypatch, r, N_max, fam):
+    # the scan reads only the window W, so weighting each of its r^|W|
+    # colorings by r^(N - |W|) gives the per-candidate counts of brute's
+    # lexmin primaries over all r^N colorings; both checks then give the
+    # verdicts of a full sweep, and the partition check walks each of the
+    # r^N colorings exactly once
+    walks, walk = [], oracle.primary_walk
+
+    def recorded(colors, *args):
+        walks.append((colors, walk(colors, *args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(oracle, "primary_walk", recorded)
+    for N in range(2, N_max + 1):
+        colorings = list(product(range(r), repeat=N))
+        for k in (2, 3, 4):
+            for a in range(1, N + 1):
+                for d in range(1, (N - a) // (k - 1) + 1):
+                    primaries = [lexmin_primary(c, a, d, k, fam.kind, fam.param)
+                                 for c in colorings]
+                    full = Counter(primaries)
+                    last = min(N, a + (k - 1) * fam.allowed_gaps(d)[:N][-1])
+                    window = Counter()
+                    candidates = progressions_from(N, k, fam, a, d)
+                    for _, terms in oracle._primaries(r, a, last, candidates):
+                        window[terms] += r ** (N - (last - a + 1))
+                    assert window == full, (N, k, a, d)
+
+                    forced = {p: forced_elements(Progression(p, d, fam))
+                              for p in full if p is not None}
+                    lemma = all(c[e - 1] != c[a - 1] for c, p in zip(colorings, primaries)
+                                if p is not None for e in forced[p])
+                    bound = all(
+                        count <= r * (r - 1) ** w * r ** (N - k - w)
+                        for p, count in full.items() if p is not None
+                        for w in [weight_of(conjugate(p, d, fam.kind), fam.kind, fam.param)]
+                    )
+                    assert forced_count_check(r, N, k, fam, a, d) == (lemma and bound)
+
+                    walks.clear()
+                    ok = primary_partition_check(r, N, k, fam, a, d)
+                    assert len(walks) == r**N
+                    assert ok == (dict(walks) == dict(zip(colorings, primaries)))
+
+
 def test_forced_count_desk_scale_echo():
     # k=6 terms plus weight-6 forced cells fix 12 of N cells, leaving
     # 2^(N-11) colorings per color choice of the primary progression
@@ -298,6 +363,30 @@ def test_verify_holds_the_semi_frequency_vectors_to_the_budget(monkeypatch):
             verify_counting_inequality(2, 4, k, Family.semi(m), budget)
 
 
+def test_verify_holds_the_quasi_bound_to_the_budget(monkeypatch):
+    # the transfer-matrix integers and the power r^(N - k + 1) together hold
+    # about (n + 1)(k - 1) ceil(log2 r) bits; against a budget of 16, (r, n)
+    # = (2, 1) and (3, 0) run up to k = 9, and (2, 0) up to k = 17
+    budget = OracleBudget(max_colorings=16)
+    for r, k, n in ((2, 9, 1), (3, 9, 0), (2, 17, 0)):
+        rep = verify_counting_inequality(r, 2, k, Family.quasi(n), budget)
+        assert (rep.mono_count, rep.bound_satisfied) == (0, True)
+    # one color has no bits to count: its scope refusal stands
+    with pytest.raises(ValueError, match="at least 2 colors"):
+        verify_counting_inequality(1, 2, 10**9, Family.quasi(1), budget)
+
+    def never(*args):
+        raise AssertionError("the bound or the count ran")
+
+    monkeypatch.setattr(oracle, "quasi_counting_bound", never)
+    monkeypatch.setattr(oracle, "count_mono_colorings", never)
+    for r, k, n in ((2, 10, 1), (3, 10, 0), (2, 18, 0), (2, 10**9, 1)):
+        message = (f"the diameter-{n} bound at r = {r}, k = {k} needs "
+                   f"(n + 1)(k - 1) ceil(log2 r) bits, past the budget of 16")
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            verify_counting_inequality(r, 2, k, Family.quasi(n), budget)
+
+
 def test_primary_checks_can_fail(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oracle, "primary_walk", lambda *args: None)
@@ -313,6 +402,14 @@ def test_primary_checks_can_fail(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oracle, "primary_walk", off_by_one)
         assert not primary_partition_check(2, 5, 3, SEMI1, 1, 1)
+    # with d = 2, the point a + 1 lies inside every candidate and is never
+    # a term or forced: colored like the primary, it breaks the exchange
+    # lemma, though every count stays within its bound
+    forced = oracle.forced_elements
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "forced_elements", lambda p: forced(p) | {p.terms[0] + 1})
+        assert not forced_count_check(2, 8, 3, SEMI1, 2, 2)
+        assert not forced_count_check(2, 12, 4, SEMI2, 1, 2)
     # the weight-0 candidate (2, 4, 6) meets its bound exactly, so one more
     # forced cell makes it too small
     weight = oracle.weight
