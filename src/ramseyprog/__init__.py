@@ -25,9 +25,8 @@ _HOME = {  # public name -> the submodule it lives in
         ("errors", "BudgetExceededError ConvergenceError WitnessFormatError"),
         ("oracle", "CountReport OracleBudget count_mono_colorings forced_count_check "
                    "primary_partition_check verify_counting_inequality"),
-        ("progressions", "Coloring ConjugateVector Family Progression conjugate_vector "
-                         "find_monochromatic forced_elements pair_multiplicity "
-                         "primary_progression validate_progression weight"),
+        ("progressions", "Coloring Family Progression conjugate_vector find_monochromatic "
+                         "forced_elements primary_progression validate_progression weight"),
         ("search", "SearchBudget ThresholdCertificate check_witness exact_threshold "
                    "random_witness_search read_witness write_witness"),
     )

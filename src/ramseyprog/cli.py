@@ -212,6 +212,10 @@ def cmd_table(args) -> int:
 
 
 def _report_payload(rep) -> dict:
+    try:  # no float for a bound past the float range
+        approx = None if rep.bound_value is None else float(rep.bound_value)
+    except OverflowError:
+        approx = None
     return {
         "N": rep.N,
         "k": rep.k,
@@ -221,7 +225,7 @@ def _report_payload(rep) -> dict:
         "mono_count": rep.mono_count,
         "total": rep.total,
         "bound_value": rep.bound_value,
-        "bound_value_float": None if rep.bound_value is None else float(rep.bound_value),
+        "bound_value_float": approx,
         "bound_satisfied": rep.bound_satisfied,
     }
 
@@ -241,13 +245,20 @@ def cmd_oracle(args) -> int:
     if args.oracle_cmd == "verify":
         rep = verify_counting_inequality(args.r, args.N, args.k, family, budget)
         verdict = "holds" if rep.bound_satisfied else "VIOLATED"
+        payload = _report_payload(rep)
+        bound = payload["bound_value_float"]
+        if bound is None:  # past the float range: 6 figures of the exact value
+            from decimal import MAX_EMAX, Context, Decimal
+
+            num, den = (Decimal(v) for v in rep.bound_value.as_integer_ratio())
+            bound = Context(Emax=MAX_EMAX).divide(num, den)
         with _int_digits_unlimited():
             _emit(
                 args.format,
-                _report_payload(rep),
+                payload,
                 [
                     f"monochromatic colorings: {rep.mono_count} / {rep.total}",
-                    f"analytic bound: {float(rep.bound_value):.6g}",
+                    f"analytic bound: {bound:.6g}",
                     f"inequality {verdict}",
                 ],
             )

@@ -36,7 +36,6 @@ from .progressions import (
     SEMI,
     Family,
     Progression,
-    conjugate_vector,
     forced_elements,
     primary_progression,  # unused here; the benchmark's tracer wraps oracle.<name>
     primary_walk,
@@ -341,7 +340,8 @@ def forced_count_check(
             counts[primary] += 1
     outside = r ** (N - (last - a + 1))
     for terms, observed in counts.items():
-        w = weight(conjugate_vector(progressions[terms]))
+        # weight(), not len(forced[terms]): a bound from those checked points can't fail
+        w = weight(progressions[terms])
         allowed = r * (r - 1) ** w * r ** (N - k - w)
         if observed * outside > allowed:
             return False

@@ -6,12 +6,12 @@ whose successive gaps all lie in {d, 2d, ..., md} for one positive integer d
 gaps in {d, d+1, ..., d+n}.  Scope 1 and diameter 0 both recover ordinary
 arithmetic progressions.
 
-Each progression has a *conjugate vector* recording the per-gap excess over
-the minimal gap (normalized by d for semi, shifted by d for quasi), a
-*weight*, and a set of *forced elements*: ground-set points whose color is
-pinned to the opposite color whenever the progression is the first-term /
-low-difference primary one under a coloring.  These are the combinatorial
-levers used by the counting bounds and the exhaustive oracles.
+Each progression has a *conjugate vector*, the tuple of its per-gap excesses
+over the minimal gap (normalized by d for semi, shifted by d for quasi), a
+*weight* w, and a set of w *forced elements*: ground-set points whose color
+is pinned to the opposite color whenever the progression is the first-term /
+low-difference primary one under a coloring.  The counting bounds sum these
+weights in closed form, and the oracle's forced check tests both.
 
 Everything here is a pure function of its inputs; there is no shared state.
 """
@@ -104,11 +104,6 @@ class Family:
             return range(d, self.param * d + 1, d)
         return range(d, d + self.param + 1)
 
-    @property
-    def max_excess(self) -> int:
-        """Largest conjugate-vector entry: scope-1 for semi, diameter for quasi."""
-        return self.param - 1 if self.kind == SEMI else self.param
-
     def __str__(self) -> str:
         tag = "m" if self.kind == SEMI else "n"
         return f"{self.kind}({tag}={self.param})"
@@ -200,56 +195,25 @@ class Progression:
         return len(self.terms)
 
 
-@record
-class ConjugateVector:
-    """Per-gap excess over the minimal gap; entries in [0, max_excess]."""
-
-    entries: tuple
-    family: Family
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValueError("conjugate vector must have at least one entry")
-        top = self.family.max_excess
-        if any(not (0 <= u <= top) for u in self.entries):
-            raise ValueError(f"entries must lie in [0, {top}] for {self.family}")
-
-
-def conjugate_vector(p: Progression) -> ConjugateVector:
+def conjugate_vector(p: Progression) -> tuple:
     """The conjugate vector of p: (gap - d)/d per gap for semi, gap - d for quasi."""
     d = p.low_difference
-    gaps = [b - a for a, b in zip(p.terms, p.terms[1:])]
-    if p.family.kind == SEMI:
-        entries = tuple((g - d) // d for g in gaps)
-    else:
-        entries = tuple(g - d for g in gaps)
-    return ConjugateVector(entries, p.family)
+    unit = d if p.family.kind == SEMI else 1
+    return tuple((b - a - d) // unit for a, b in zip(p.terms, p.terms[1:]))
 
 
-def pair_multiplicity(x: int, y: int, n: int) -> int:
-    """min(x, n - y): the number of quasi-progressions obtained from a gap pair
-    with excesses (x, y) by moving the shared endpoint down, each yielding a
-    lexicographically smaller conjugate vector."""
-    if not (0 <= x <= n and 0 <= y <= n):
-        raise ValueError(f"excesses must lie in [0, {n}]")
-    return min(x, n - y)
+def weight(p: Progression) -> int:
+    """Number of ground-set elements whose color is forced opposite when p
+    is primary.
 
-
-def weight(u: ConjugateVector) -> int:
-    """Number of ground-set elements whose color is forced opposite when a
-    progression with conjugate vector u is primary.
-
-    Semi: the sum of the entries.  Quasi: the last entry plus the pair
-    multiplicities min(u_i, n - u_{i+1}) of all adjacent entry pairs.
+    With u = conjugate_vector(p), semi: the sum of u.  Quasi: u[-1] plus
+    min(x, n - y) per adjacent pair (x, y), the exchanges of their shared term.
     """
-    if u.family.kind == SEMI:
-        return sum(u.entries)
-    n = u.family.param
-    total = u.entries[-1]
-    for x, y in zip(u.entries, u.entries[1:]):
-        total += pair_multiplicity(x, y, n)
-    return total
+    u = conjugate_vector(p)
+    if p.family.kind == SEMI:
+        return sum(u)
+    n = p.family.param
+    return u[-1] + sum(min(x, n - y) for x, y in zip(u, u[1:]))
 
 
 def forced_elements(p: Progression) -> set:
@@ -260,10 +224,10 @@ def forced_elements(p: Progression) -> set:
     Each such point e admits an exchange: a valid progression with the same
     first term and low-difference that uses e and has a lexicographically
     smaller conjugate vector, so e colored like p would contradict primality.
-    The set has exactly weight(conjugate_vector(p)) elements.
+    The set has exactly weight(p) elements.
     """
     d = p.low_difference
-    u = conjugate_vector(p).entries
+    u = conjugate_vector(p)
     out = set()
     if p.family.kind == SEMI:
         # inside gap i, every multiple of d strictly below the next term

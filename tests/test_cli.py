@@ -1,13 +1,16 @@
+import ast
 import csv
 import decimal
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -239,6 +242,32 @@ def test_oracle_verify_prints_bounds_of_any_length(capsys):
     num, den = map(decimal.Decimal, payload["bound_value"].split("/"))
     assert (num, den) == (1, 99999 * 2**99991)
     assert (payload["bound_value_float"], payload["bound_satisfied"]) == (0.0, True)
+
+
+def test_oracle_verify_prints_a_bound_past_the_float_range(capsys):
+    # the bound is about 3.3e+496, past float: text prints it to 6 figures
+    # from the exact value, JSON has null for its float and CSV an empty cell
+    argv = ["oracle", "verify", "--N", "5", "--k", "20000", "--family", "quasi",
+            "--param", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "monochromatic colorings: 0 / 32\n"
+                                "analytic bound: 3.31263e+496\ninequality holds\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    num, den = map(decimal.Decimal, payload.pop("bound_value").split("/"))
+    exact = decimal.Context(prec=30).divide(num, den)
+    assert format(exact, ".6g") == "3.31263e+496"
+    assert payload == {"N": 5, "k": 20000, "family": "quasi", "param": 2, "r": 2,
+                       "mono_count": 0, "total": 32, "bound_value_float": None,
+                       "bound_satisfied": True}
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row)) == {
+        "N": "5", "k": "20000", "family": "quasi", "param": "2", "r": "2",
+        "mono_count": "0", "total": "32", "bound_value": f"{num}/{den}",
+        "bound_value_float": "", "bound_satisfied": "True"}
 
 
 @pytest.mark.parametrize("kind", ["semi", "quasi"])
@@ -661,3 +690,27 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert code == 0, f"{line}: {err}"
         ran += 1
     assert ran > 0
+
+
+def test_readme_library_tour_runs():
+    # the README's Python block, statement by statement in one namespace;
+    # an expression whose comment starts with a literal must evaluate to it,
+    # and one ending in "..." must start with the digits before the dots
+    block = README.read_text().split("## Library quick tour\n", 1)[1]
+    source = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string.lstrip("# ")
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, 0
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        literal = re.match(r"\(.*?\)|\[.*?\]|[\w.]+", comments[node.end_lineno]).group()
+        if literal.endswith("..."):
+            assert repr(value).startswith(literal[:-3]), (literal, value)
+        else:
+            assert value == ast.literal_eval(literal), (literal, value)
+        checked += 1
+    assert checked == 8

@@ -413,5 +413,5 @@ def test_primary_checks_can_fail(monkeypatch):
     # the weight-0 candidate (2, 4, 6) meets its bound exactly, so one more
     # forced cell makes it too small
     weight = oracle.weight
-    monkeypatch.setattr(oracle, "weight", lambda u: weight(u) + 1)
+    monkeypatch.setattr(oracle, "weight", lambda p: weight(p) + 1)
     assert not forced_count_check(2, 8, 3, SEMI1, 2, 2)

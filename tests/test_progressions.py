@@ -6,14 +6,12 @@ import pytest
 
 from ramseyprog.progressions import (
     Coloring,
-    ConjugateVector,
     Family,
     Progression,
     conjugate_vector,
     fill_chains,
     find_monochromatic,
     forced_elements,
-    pair_multiplicity,
     primary_progression,
     primary_walk,
     validate_progression,
@@ -21,11 +19,13 @@ from ramseyprog.progressions import (
 )
 
 from brute import (
+    conjugate,
     frequency_vector,
     frequency_vectors,
     lexmin_primary,
     longest_chain,
     multinomial,
+    weight_of,
 )
 
 SEMI3 = Family.semi(3)
@@ -91,20 +91,33 @@ def test_progression_type_enforces_validity():
         Progression((1, 2, 9), 1, Family.semi(3))
 
 
+def _with_entries(entries, family, a=1, d=2):
+    """The progression from a with low-difference d whose conjugate vector
+    is ``entries``; Progression refuses an entry outside the family."""
+    terms = [a]
+    for u in entries:
+        terms.append(terms[-1] + (d * (u + 1) if family.kind == "semi" else d + u))
+    return Progression(tuple(terms), d, family)
+
+
 def test_conjugate_vector_worked_example():
     p = Progression(WORKED_TERMS, 5, SEMI3)
-    assert conjugate_vector(p).entries == (2, 1, 0, 2, 1)
+    assert conjugate_vector(p) == (2, 1, 0, 2, 1)
 
 
 def test_conjugate_vector_cases():
     ap = Progression((3, 7, 11, 15), 4, Family.semi(2))
-    assert conjugate_vector(ap).entries == (0, 0, 0)
+    assert conjugate_vector(ap) == (0, 0, 0)
     q = Progression((1, 4, 6), 2, Family.quasi(1))
-    assert conjugate_vector(q).entries == (1, 0)
+    assert conjugate_vector(q) == (1, 0)
+    cases = (((1, 0), Family.quasi(1)), ((2, 0, 1), SEMI3), ((3,), Family.quasi(4)))
+    for entries, family in cases:
+        assert conjugate_vector(_with_entries(entries, family, a=5, d=3)) == entries
+    # no progression has an entry past the diameter, nor an empty vector
     with pytest.raises(ValueError):
-        ConjugateVector((0, 3), Family.quasi(2))
+        _with_entries((0, 3), Family.quasi(2))
     with pytest.raises(ValueError):
-        ConjugateVector((), Family.quasi(2))
+        _with_entries((), Family.quasi(2))
 
 
 def test_frequency_vector():
@@ -113,7 +126,7 @@ def test_frequency_vector():
     assert frequency_vector((0, 0, 0, 0), 3) == (4, 0, 0)
     assert frequency_vector((0, 1, 0, 1), 2) == (2, 2)
     u = conjugate_vector(Progression(WORKED_TERMS, 5, SEMI3))
-    assert frequency_vector(u.entries, 3) == (1, 2, 2)
+    assert frequency_vector(u, 3) == (1, 2, 2)
     # exactly multinomial(v) conjugate vectors share each histogram v
     for t, m in ((4, 3), (5, 2), (3, 4)):
         shared = Counter(frequency_vector(u, m) for u in product(range(m), repeat=t))
@@ -121,26 +134,24 @@ def test_frequency_vector():
 
 
 def test_pair_multiplicity():
-    assert pair_multiplicity(1, 0, 1) == 1
-    assert pair_multiplicity(0, 1, 1) == 0
-    assert pair_multiplicity(0, 7, 9) == 0
-    assert pair_multiplicity(2, 1, 2) == 1
-    with pytest.raises(ValueError):
-        pair_multiplicity(3, 0, 2)
-    with pytest.raises(ValueError):
-        pair_multiplicity(0, -1, 2)
+    # a quasi vector (x, y) weighs y plus its one pair term min(x, n - y)
+    for x, y, n, pair in ((1, 0, 1, 1), (0, 1, 1, 0), (0, 7, 9, 0), (2, 1, 2, 1)):
+        assert weight(_with_entries((x, y), Family.quasi(n))) == y + pair
+    # an excess outside [0, n] is not a gap of the family
+    for x, y in ((3, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            _with_entries((x, y), Family.quasi(2))
 
 
 def test_weight_semi_is_entry_sum():
-    u = ConjugateVector((2, 1, 0, 2, 1), SEMI3)
-    assert weight(u) == 6
+    assert weight(Progression(WORKED_TERMS, 5, SEMI3)) == 6
 
 
 def test_weight_quasi():
-    assert weight(ConjugateVector((1, 0, 1), Family.quasi(1))) == 2
-    assert weight(ConjugateVector((2, 1, 0), Family.quasi(2))) == 2
+    assert weight(_with_entries((1, 0, 1), Family.quasi(1))) == 2
+    assert weight(_with_entries((2, 1, 0), Family.quasi(2))) == 2
     # single-entry vector: no pairs, weight is the entry itself
-    assert weight(ConjugateVector((3,), Family.quasi(4))) == 3
+    assert weight(_with_entries((3,), Family.quasi(4))) == 3
 
 
 def test_weight_quasi_diameter1_counts_10_substrings():
@@ -151,7 +162,7 @@ def test_weight_quasi_diameter1_counts_10_substrings():
         pairs = sum(
             1 for x, y in zip(entries, entries[1:]) if (x, y) == (1, 0)
         )
-        assert weight(ConjugateVector(entries, fam)) == entries[-1] + pairs
+        assert weight(_with_entries(entries, fam)) == entries[-1] + pairs
 
 
 def test_semi_weight_matches_frequency_inner_product():
@@ -161,7 +172,7 @@ def test_semi_weight_matches_frequency_inner_product():
         entries = tuple(rng.randint(0, m - 1) for _ in range(rng.randint(1, 9)))
         v = frequency_vector(entries, m)
         inner = sum(j * vj for j, vj in enumerate(v))
-        assert weight(ConjugateVector(entries, Family.semi(m))) == inner
+        assert weight(_with_entries(entries, Family.semi(m))) == inner
 
 
 def test_forced_elements_worked_example():
@@ -194,7 +205,9 @@ def test_forced_elements_count_and_span():
     for _ in range(500):
         p = _random_progression(rng, rng.choice(families))
         forced = forced_elements(p)
-        assert len(forced) == weight(conjugate_vector(p))
+        kind, param = p.family.kind, p.family.param
+        assert conjugate_vector(p) == conjugate(p.terms, p.low_difference, kind)
+        assert weight(p) == weight_of(conjugate_vector(p), kind, param) == len(forced)
         assert all(p.terms[0] < e < p.terms[-1] for e in forced)
         assert forced.isdisjoint(p.terms)
 
@@ -224,13 +237,13 @@ def test_exchange_soundness():
     checked = 0
     for _ in range(400):
         p = _random_progression(rng, rng.choice(families))
-        u = conjugate_vector(p).entries
+        u = conjugate_vector(p)
         for e in forced_elements(p):
             swapped = _exchange(p, e)
             assert swapped.terms[0] == p.terms[0]
             assert len(swapped.terms) == len(p.terms)
             assert e in swapped.terms
-            assert conjugate_vector(swapped).entries < u
+            assert conjugate_vector(swapped) < u
             checked += 1
     assert checked > 300
 
@@ -240,17 +253,17 @@ def test_primary_progression_examples():
     chi = Coloring.from_digits("100101", 2)
     p = primary_progression(chi, 1, 2, 3, Family.quasi(1))
     assert p is not None and p.terms == (1, 4, 6)
-    assert conjugate_vector(p).entries == (1, 0)
+    assert conjugate_vector(p) == (1, 0)
 
     mono = Coloring((1,) * 9, 2)
     p = primary_progression(mono, 1, 1, 4, Family.semi(3))
     assert p.terms == (1, 2, 3, 4)
-    assert conjugate_vector(p).entries == (0, 0, 0)
+    assert conjugate_vector(p) == (0, 0, 0)
 
     chi = Coloring.from_digits("11001", 2)
     p = primary_progression(chi, 1, 1, 3, Family.semi(3))
     assert p is not None and p.terms == (1, 2, 5)
-    assert conjugate_vector(p).entries == (0, 2)
+    assert conjugate_vector(p) == (0, 2)
 
 
 def test_primary_progression_requires_backtracking():
@@ -260,7 +273,7 @@ def test_primary_progression_requires_backtracking():
     p = primary_progression(chi, 1, 2, 3, Family.quasi(1))
     assert p is not None
     assert p.terms == (1, 4, 7)
-    assert conjugate_vector(p).entries == (1, 1)
+    assert conjugate_vector(p) == (1, 1)
 
 
 def test_primary_progression_input_validation():

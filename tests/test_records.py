@@ -14,7 +14,7 @@ from ramseyprog.bounds import (
     weighted_conjugate_sum,
 )
 from ramseyprog.oracle import CountReport, OracleBudget
-from ramseyprog.progressions import Coloring, ConjugateVector, Family, Progression
+from ramseyprog.progressions import Coloring, Family, Progression
 from ramseyprog.search import SearchBudget, ThresholdCertificate
 
 SEMI1, SEMI2, QUASI1 = Family("semi", 1), Family("semi", 2), Family("quasi", 1)
@@ -30,9 +30,6 @@ CASES = [
      Progression((1, 2, 3), 1, SEMI2),
      "Progression(terms=(1, 2, 3), low_difference=1, "
      "family=Family(kind='semi', param=1))"),
-    (ConjugateVector, dict(entries=(0, 1), family=SEMI2),
-     ConjugateVector((1, 0), SEMI2),
-     "ConjugateVector(entries=(0, 1), family=Family(kind='semi', param=2))"),
     (SearchBudget, dict(max_nodes=2_000_000, max_length=64, seed=0, restarts=10),
      SearchBudget(seed=1),
      "SearchBudget(max_nodes=2000000, max_length=64, seed=0, restarts=10)"),
@@ -101,8 +98,6 @@ def test_keyword_construction_fills_the_defaults():
     (lambda: Progression((1,), 1, SEMI1), "a progression needs at least two terms"),
     (lambda: Progression((1, 3, 4), 1, SEMI1),
      "gaps of (1, 3, 4) not allowed for semi(m=1) with low-difference 1"),
-    (lambda: ConjugateVector((), SEMI2), "conjugate vector must have at least one entry"),
-    (lambda: ConjugateVector((2,), SEMI2), "entries must lie in [0, 1] for semi(m=2)"),
     (lambda: SearchBudget(max_length=0),
      "budget fields must be positive (seed non-negative)"),
     (lambda: SearchBudget(seed=-1), "budget fields must be positive (seed non-negative)"),
