@@ -49,13 +49,6 @@ MAX_POWER_STEPS = 64  # cap on perron_bracket's inverse-iteration steps
 THRESHOLD_DOUBLINGS = 8  # cap on BoundResult.threshold's precision doublings
 
 
-def alpha_semi(m: int) -> float:
-    """The semi-progression bound base alpha(m) = sqrt(2^m / (2^m - 1))."""
-    if m < 1:
-        raise ValueError("scope must be at least 1")
-    return math.sqrt(2**m / (2**m - 1))
-
-
 def semi_counting_bound(N: int, k: int, m: int) -> Fraction:
     """Exact upper bound (N^2 * 2^N / (k-1)) * (1 - 2^(-m))^(k-1) on the
     number of 2-colorings of [1, N] containing a monochromatic k-term
@@ -212,15 +205,15 @@ def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List, List]:
     return quot, a
 
 
-def lambda_max_by_charpoly(rows: Sequence[Sequence], tol: float = 1e-12) -> float:
+def lambda_max_by_charpoly(rows: Sequence[Sequence]) -> float:
     """Perron root of the matrix with these rows, by exact-rational bisection
     on det(xI - A).
 
     Independent of perron_bracket: the Sturm sequence of the exact
     characteristic polynomial counts its distinct real roots above any x,
     and bisection from outside the Gershgorin discs keeps exactly one root,
-    the largest, above ``lo``.  Intended for small matrices (cross-check
-    path); cost grows quickly with dimension.
+    the largest, above ``lo`` until hi - lo is at most 1e-12.  Intended for
+    small matrices (cross-check path); cost grows quickly with dimension.
     """
     p = _charpoly(rows)
     seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
@@ -244,7 +237,7 @@ def lambda_max_by_charpoly(rows: Sequence[Sequence], tol: float = 1e-12) -> floa
     lo = -hi
     if not roots_above(lo):
         raise ArithmeticError("characteristic polynomial has no real root")
-    while float(hi - lo) > tol:
+    while float(hi - lo) > 1e-12:
         mid = (lo + hi) / 2
         if roots_above(mid):
             lo = mid
@@ -255,11 +248,13 @@ def lambda_max_by_charpoly(rows: Sequence[Sequence], tol: float = 1e-12) -> floa
 
 @record
 class BoundResult:
-    """A lower-bound base: the Ramsey threshold exceeds base^k, where
-    base^2 = r / lambda and lambda lies in the exact enclosure [lambda_lo,
-    lambda_hi] (the Perron root of transfer_matrix(r, n) for quasi, the point
-    2 - 2^(1-m) for semi).  ``base`` and ``lambda_max`` are display floats,
-    and ``lambda_max`` lies in the enclosure.
+    """A lower-bound base, base^2 = r / lambda, where lambda lies in the
+    exact enclosure [lambda_lo, lambda_hi] (the Perron root of
+    transfer_matrix(r, n) for quasi, the point 2 - 2^(1-m) for semi).  What
+    is proved of the threshold S is S > N wherever the counting bound is
+    below r^N, and S > r(k - 1); base^k can exceed both at small k.  ``base``
+    and ``lambda_max`` are display floats, and ``lambda_max`` lies in the
+    enclosure.
     ``useful`` (base > 1) is decided from the enclosure: lambda_hi < r.
     """
 
@@ -322,7 +317,9 @@ def _sqrt_power_floor(x: Fraction, k: int, prec: int, up: bool) -> int:
 def semi_bound(m: int) -> BoundResult:
     """The scope-m semi-progression bound base as a BoundResult (2 colors):
     lambda = 2 - 2^(1-m), so base^2 = 2 / lambda = 2^m / (2^m - 1)."""
-    base = alpha_semi(m)
+    if m < 1:
+        raise ValueError("scope must be at least 1")
+    base = math.sqrt(2**m / (2**m - 1))
     lam = 2 - Fraction(2, 2**m)
     return BoundResult(Family.semi(m), 2, base, float(lam), lam, lam, useful=True)
 

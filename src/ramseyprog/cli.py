@@ -32,44 +32,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import json
 import math
 import os
 import sys
 
+from . import _lazy
 from .errors import BudgetExceededError, ConvergenceError
 
 # The compute layers load on first use, so a call imports only the layer its
-# subcommand runs.  Each cmd_* binds its layer's names here with _load; until
-# then, cli.<name> resolves through __getattr__.  A wrapper set on cli.<name>
-# before the first call (a test's monkeypatch, the benchmark's tracer) stays.
-_LAZY = {  # name -> the submodule it comes from
-    name: module
-    for module, names in (
-        ("bounds", "beta_quasi beta_table semi_bound"),
-        ("oracle", "OracleBudget count_mono_colorings forced_count_check "
-                   "primary_partition_check verify_counting_inequality"),
-        ("progressions", "MAX_DIGIT_COLORS Family"),
-        ("search", "SearchBudget check_witness exact_threshold "
-                   "random_witness_search read_witness write_witness"),
-    )
-    for name in names.split()
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-
-
-def _load(*modules: str) -> None:
-    """Bind the names that ``modules`` supply in this namespace, keeping any
-    already set."""
-    for name, module in _LAZY.items():
-        if module in modules:
-            globals().setdefault(name, __getattr__(name))
+# subcommand runs.  cli.<name> resolves through the package's _HOME, and each
+# cmd_* binds its layers' names here by resolving one of each first.  A
+# wrapper set on cli.<name> before that (a test's monkeypatch, the
+# benchmark's tracer) stays.
+__getattr__ = _lazy(globals(), (
+    "beta_quasi beta_table semi_bound Family OracleBudget count_mono_colorings "
+    "forced_count_check primary_partition_check verify_counting_inequality "
+    "SearchBudget check_witness exact_threshold random_witness_search "
+    "read_witness write_witness").split())
 
 
 def _truncate5(x: float) -> str:
@@ -164,7 +144,7 @@ def _budget(args, budget_cls):
 
 
 def cmd_bound(args) -> int:
-    _load("bounds")
+    __getattr__("semi_bound")
     if args.bound_kind == "semi":
         res, name = semi_bound(args.m), "alpha"
         payload = {"family": "semi", "param": args.m, "alpha": res.base}
@@ -189,7 +169,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _load("bounds")
+    __getattr__("beta_table")
     results = beta_table(args.r_max, args.n_max)
     records = [
         {"r": res.r, "n": res.family.param, **_quasi_fields(res)} for res in results
@@ -231,7 +211,8 @@ def _report_payload(rep) -> dict:
 
 
 def cmd_oracle(args) -> int:
-    _load("oracle", "progressions")
+    __getattr__("OracleBudget")
+    __getattr__("Family")
     family = _family(args)
     budget = _budget(args, OracleBudget)
     if args.oracle_cmd == "count":
@@ -302,7 +283,9 @@ def _cert_payload(cert) -> dict:
 
 
 def cmd_search(args) -> int:
-    _load("search", "progressions")
+    __getattr__("SearchBudget")
+    __getattr__("Family")
+    from .progressions import MAX_DIGIT_COLORS
     if args.r > MAX_DIGIT_COLORS:
         raise ValueError(f"--r is at most {MAX_DIGIT_COLORS} (one digit per point)")
     family = _family(args)
@@ -357,7 +340,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _load("search")
+    __getattr__("read_witness")
     chi, k, family = read_witness(args.file)
     ok = check_witness(chi, k, family)
     _emit(

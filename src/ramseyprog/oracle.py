@@ -24,13 +24,13 @@ refusal.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
+from . import _lazy
 from .errors import BudgetExceededError
 from .progressions import (
     SEMI,
@@ -48,15 +48,10 @@ if TYPE_CHECKING:
 
 # Only verify needs the counting bounds, so they load on first use and the
 # other checks import no bounds (nor its fractions and decimal).  Until
-# _family_bound binds them here, oracle.<name> resolves through __getattr__;
-# a wrapper set on oracle.<name> before that (the benchmark's tracer) stays.
-_BOUNDS = ("quasi_counting_bound", "semi_counting_bound")
-
-
-def __getattr__(name):
-    if name not in _BOUNDS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(".bounds", __package__), name)
+# _family_bound binds them here, oracle.<name> resolves through the
+# package's _HOME; a wrapper set on oracle.<name> before that (the
+# benchmark's tracer) stays.
+__getattr__ = _lazy(globals(), ("quasi_counting_bound", "semi_counting_bound"))
 
 
 @record
@@ -199,8 +194,7 @@ def count_mono_colorings(
 def _family_bound(
     r: int, N: int, k: int, family: Family, budget: OracleBudget
 ) -> Fraction:
-    for name in _BOUNDS:
-        globals().setdefault(name, __getattr__(name))
+    __getattr__("semi_counting_bound")  # binds both counting bounds
     if family.kind == SEMI:
         if r != 2:
             raise ValueError("the scope counting bound is specific to 2 colors")
@@ -289,8 +283,6 @@ def primary_partition_check(
     """
     budget.check(r, N)
     candidates = progressions_from(N, k, family, a, d)
-    if r < 2:
-        raise ValueError("a coloring needs at least 2 colors")
     gaps = tuple(family.allowed_gaps(d)[:N])
     last = min(N, a + (k - 1) * gaps[-1])
     for window, primary in _primaries(r, a, last, candidates):

@@ -133,11 +133,6 @@ class Coloring:
     def n_points(self) -> int:
         return len(self.colors)
 
-    def color_of(self, point: int) -> int:
-        if not 1 <= point <= len(self.colors):
-            raise ValueError(f"point {point} outside [1, {len(self.colors)}]")
-        return self.colors[point - 1]
-
     def digits(self) -> str:
         """The coloring as a base-r digit string (r <= MAX_DIGIT_COLORS)."""
         if self.r > MAX_DIGIT_COLORS:
@@ -151,31 +146,13 @@ class Coloring:
         return cls(tuple(int(ch) for ch in text), r)
 
 
-def validate_progression(terms: Sequence[int], d: int, family: Family) -> bool:
-    """True iff every successive gap of ``terms`` is allowed for low-difference d.
-
-    Raises ValueError for malformed input (fewer than two terms, non-positive
-    or non-increasing terms, d < 1); returns False only for well-formed terms
-    whose gaps fall outside the family's gap set.
-    """
-    terms = tuple(terms)
-    if len(terms) < 2:
-        raise ValueError("a progression needs at least two terms")
-    if d < 1:
-        raise ValueError("low-difference must be a positive integer")
-    if terms[0] < 1:
-        raise ValueError("terms must be positive integers")
-    if any(b <= a for a, b in zip(terms, terms[1:])):
-        raise ValueError("terms must be strictly increasing")
-    gaps = family.allowed_gaps(d)
-    return all(b - a in gaps for a, b in zip(terms, terms[1:]))
-
-
 @record
 class Progression:
     """A k-term progression with its low-difference and family.
 
-    Validity (all gaps in the family's gap set) is enforced on construction.
+    Construction refuses malformed input (fewer than two terms, d < 1,
+    non-positive or non-increasing terms), then terms whose gaps fall
+    outside the family's gap set for d.
     """
 
     terms: tuple
@@ -183,16 +160,22 @@ class Progression:
     family: Family
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not validate_progression(self.terms, self.low_difference, self.family):
+        terms, d = tuple(self.terms), self.low_difference
+        object.__setattr__(self, "terms", terms)
+        if len(terms) < 2:
+            raise ValueError("a progression needs at least two terms")
+        if d < 1:
+            raise ValueError("low-difference must be a positive integer")
+        if terms[0] < 1:
+            raise ValueError("terms must be positive integers")
+        if any(b <= a for a, b in zip(terms, terms[1:])):
+            raise ValueError("terms must be strictly increasing")
+        gaps = self.family.allowed_gaps(d)
+        if not all(b - a in gaps for a, b in zip(terms, terms[1:])):
             raise ValueError(
-                f"gaps of {self.terms} not allowed for {self.family} "
-                f"with low-difference {self.low_difference}"
+                f"gaps of {terms} not allowed for {self.family} "
+                f"with low-difference {d}"
             )
-
-    @property
-    def k(self) -> int:
-        return len(self.terms)
 
 
 def conjugate_vector(p: Progression) -> tuple:

@@ -171,8 +171,8 @@ def test_acceptance_6_primary_progression_machinery():
         found += 1
         forced = forced_elements(p)
         ok = ok and len(forced) == weight(p)
-        base = chi.color_of(p.terms[0])
-        ok = ok and all(chi.color_of(e) != base for e in forced)
+        base = chi.colors[p.terms[0] - 1]
+        ok = ok and all(chi.colors[e - 1] != base for e in forced)
     ok = ok and brute_checked >= 2_000 and found >= 2_000
 
     worked = Progression((17, 32, 42, 47, 62, 72), 5, Family.semi(3))

@@ -7,7 +7,6 @@ import pytest
 
 from ramseyprog import bounds
 from ramseyprog.bounds import (
-    alpha_semi,
     beta_quasi,
     beta_table,
     lambda_max_by_charpoly,
@@ -31,15 +30,15 @@ from brute import (
 )
 
 
-def test_alpha_semi_values():
-    assert alpha_semi(1) == pytest.approx(1.414214, abs=1e-6)
-    assert alpha_semi(2) == pytest.approx(1.154701, abs=1e-6)
-    assert alpha_semi(3) == pytest.approx(1.069045, abs=1e-6)
+def test_semi_bound_base_values():
+    assert semi_bound(1).base == pytest.approx(1.414214, abs=1e-6)
+    assert semi_bound(2).base == pytest.approx(1.154701, abs=1e-6)
+    assert semi_bound(3).base == pytest.approx(1.069045, abs=1e-6)
     for m in range(1, 12):
-        a = alpha_semi(m)
+        a = semi_bound(m).base
         assert abs(a * a * (2**m - 1) - 2**m) / 2**m < 1e-12
-    with pytest.raises(ValueError):
-        alpha_semi(0)
+    with pytest.raises(ValueError, match="scope must be at least 1"):
+        semi_bound(0)
 
 
 def test_multinomial_count():

@@ -334,13 +334,9 @@ def test_oracle_partition_and_forced(capsys):
 def test_oracle_partition_and_forced_edge_cases(capsys, command):
     base = ["oracle", command, "--N", "6", "--k", "3", "--family", "semi",
             "--param", "1", "--a", "1", "--d", "1"]
-    # one color: the partition check refuses it as a coloring would, after
-    # the budget and the progression listing have refused what they refuse
+    # one color: both checks hold, as count and the forced bound do there
     code, out, err = run(capsys, *base, "--r", "1")
-    if command == "partition":
-        assert (code, out, err) == (2, "", "error: a coloring needs at least 2 colors\n")
-    else:
-        assert (code, out, err) == (0, "forced check: ok\n", "")
+    assert (code, out, err) == (0, f"{command} check: ok\n", "")
     for extra, message in [
         (["--a", "7"], "first term 7 outside [1, 6]"),
         (["--d", "0"], "low-difference must be a positive integer"),

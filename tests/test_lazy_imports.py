@@ -84,10 +84,16 @@ def test_package_names_resolve_to_their_home_objects():
     assert set(ramseyprog.__all__) <= set(dir(ramseyprog))
 
 
-def test_cli_lazy_names_resolve_to_their_home_objects():
-    for name, module in cli._LAZY.items():
-        home = importlib.import_module(f"ramseyprog.{module}")
-        assert getattr(cli, name) is getattr(home, name), name
+@pytest.mark.parametrize("module", [cli, oracle])
+def test_lazy_names_of_cli_and_oracle_resolve_through_home(module):
+    # one name -> layer map: whatever cli or oracle resolves lazily is a
+    # package name, and resolves to the object its _HOME layer defines
+    names = module.__getattr__.names
+    assert names and names <= set(ramseyprog._HOME)
+    for name in names:
+        home = importlib.import_module(f"ramseyprog.{ramseyprog._HOME[name]}")
+        assert module.__getattr__(name) is getattr(home, name), name
+        assert getattr(module, name) is getattr(home, name), name
 
 
 @pytest.mark.parametrize("module", [ramseyprog, cli, oracle])

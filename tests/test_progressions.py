@@ -14,7 +14,6 @@ from ramseyprog.progressions import (
     forced_elements,
     primary_progression,
     primary_walk,
-    validate_progression,
     weight,
 )
 
@@ -50,13 +49,9 @@ def test_family_validation():
 def test_coloring_basics():
     chi = Coloring((0, 1, 1, 0), 2)
     assert chi.n_points == 4
-    assert chi.color_of(1) == 0 and chi.color_of(3) == 1
+    assert chi.colors[1 - 1] == 0 and chi.colors[3 - 1] == 1
     assert chi.digits() == "0110"
     assert Coloring.from_digits("0110", 2) == chi
-    with pytest.raises(ValueError):
-        chi.color_of(0)
-    with pytest.raises(ValueError):
-        chi.color_of(5)
     with pytest.raises(ValueError):
         Coloring((0, 2), 2)
     with pytest.raises(ValueError):
@@ -67,20 +62,26 @@ def test_coloring_basics():
         Coloring.from_digits("01x0", 2)
 
 
-def test_validate_progression():
-    assert validate_progression(WORKED_TERMS, 5, SEMI3)
-    assert validate_progression((1, 3, 5, 7), 2, Family.semi(1))
-    assert validate_progression((1, 4, 6), 2, Family.quasi(1))
-    assert not validate_progression((1, 4, 6), 2, Family.quasi(0))
-    assert not validate_progression((1, 2, 9), 1, Family.semi(3))
-    with pytest.raises(ValueError):
-        validate_progression((3, 2, 1), 1, SEMI3)
-    with pytest.raises(ValueError):
-        validate_progression((1, 2, 3), 0, SEMI3)
-    with pytest.raises(ValueError):
-        validate_progression((5,), 1, SEMI3)
-    with pytest.raises(ValueError):
-        validate_progression((0, 1, 2), 1, SEMI3)
+def test_progression_validation_cases():
+    assert Progression(WORKED_TERMS, 5, SEMI3).terms == WORKED_TERMS
+    assert Progression([1, 3, 5, 7], 2, Family.semi(1)).terms == (1, 3, 5, 7)
+    Progression((1, 4, 6), 2, Family.quasi(1))
+    for terms, d, family in [((1, 4, 6), 2, Family.quasi(0)), ((1, 2, 9), 1, SEMI3)]:
+        with pytest.raises(ValueError, match=r"^gaps of .* not allowed for .* "
+                                             rf"with low-difference {d}$"):
+            Progression(terms, d, family)
+    # malformed input is refused before the gaps are looked at, in this order
+    for terms, d, message in [
+        ((3, 2, 1), 1, "terms must be strictly increasing"),
+        ((1, 2, 3), 0, "low-difference must be a positive integer"),
+        ((5,), 1, "a progression needs at least two terms"),
+        ((5,), 0, "a progression needs at least two terms"),
+        ((0, 1, 2), 1, "terms must be positive integers"),
+        ((0, 2, 1), 0, "low-difference must be a positive integer"),
+        ((0, 2, 1), 1, "terms must be positive integers"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Progression(terms, d, SEMI3)
 
 
 def test_progression_type_enforces_validity():
@@ -333,9 +334,9 @@ def test_primary_forcing_property():
         if p is None:
             continue
         hits += 1
-        base = chi.color_of(p.terms[0])
+        base = chi.colors[p.terms[0] - 1]
         for e in forced_elements(p):
-            assert chi.color_of(e) != base
+            assert chi.colors[e - 1] != base
     assert hits > 100
 
 
@@ -366,9 +367,9 @@ def test_find_monochromatic_matches_brute_force():
         got = find_monochromatic(chi, k, fam)
         assert (got is not None) == has_mono(chi.colors, k, fam.kind, fam.param)
         if got is not None:
-            assert validate_progression(got.terms, got.low_difference, fam)
-            base = chi.color_of(got.terms[0])
-            assert all(chi.color_of(t) == base for t in got.terms)
+            assert Progression(got.terms, got.low_difference, fam) == got
+            base = chi.colors[got.terms[0] - 1]
+            assert all(chi.colors[t - 1] == base for t in got.terms)
 
 
 def test_fill_chains_matches_brute_force():
