@@ -22,10 +22,8 @@ Budgets: search exact reads --max-nodes and --max-length, search witness
 --max-nodes, --seed and --restarts, and oracle --max-points and
 --max-colorings.  oracle verify --family semi also holds the m(k - 1) bits
 of its bound's power (1 - 2^-m)^(k - 1) to --max-colorings, and exits 3
-before the bound or the count runs when they exceed it.  An unset cap falls
-back to RAMSEYPROG_<FIELD> (RAMSEYPROG_MAX_NODES, ...), then to its default
-in SearchBudget or OracleBudget; a subcommand ignores the variables of caps
-it has no flag for.
+before the bound or the count runs when they exceed it.  A flag not given
+keeps its default in SearchBudget or OracleBudget.
 """
 
 from __future__ import annotations
@@ -120,27 +118,10 @@ def _family(args) -> Family:
 
 
 def _budget(args, budget_cls):
-    """The budget built from the fields the subcommand has a flag for; a
-    field with no flag keeps the record's default.  An unset cap flag
-    (max_*, default None) falls back to RAMSEYPROG_<FIELD> from the
-    environment, else to the default.  The parser sets --seed and
-    --restarts only when given, so they never read the environment."""
-    values = {}
-    for field in budget_cls._fields:
-        if not hasattr(args, field):
-            continue
-        value = getattr(args, field)
-        if value is None:
-            name = f"RAMSEYPROG_{field.upper()}"
-            raw = os.environ.get(name)
-            if raw is None:
-                continue
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-        values[field] = value
-    return budget_cls(**values)
+    """The budget built from the flags given; the parser leaves a flag not
+    given out of ``args``, so its field keeps the record's default."""
+    given = {f: getattr(args, f) for f in budget_cls._fields if hasattr(args, f)}
+    return budget_cls(**given)
 
 
 def cmd_bound(args) -> int:
@@ -422,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("partition", "forced"):
             p.add_argument("--a", type=int, required=True, help="first term")
             p.add_argument("--d", type=int, required=True, help="low-difference")
-        p.add_argument("--max-points", type=int, default=None,
+        p.add_argument("--max-points", type=int, default=argparse.SUPPRESS,
                        help="largest ground set the oracle will sweep")
-        p.add_argument("--max-colorings", type=int, default=None,
+        p.add_argument("--max-colorings", type=int, default=argparse.SUPPRESS,
                        help="largest r^N the oracle will sweep")
         _add_format(p)
         p.set_defaults(handler=cmd_oracle, oracle_cmd=name)
@@ -441,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--N", type=int, required=True, help="ground-set size")
         p.add_argument("--k", type=int, required=True, help="term count")
         _add_family(p)
-        p.add_argument("--max-nodes", type=int, default=None,
+        p.add_argument("--max-nodes", type=int, default=argparse.SUPPRESS,
                        help="search node / repair-move cap")
         if name == "exact":
-            p.add_argument("--max-length", type=int, default=None,
+            p.add_argument("--max-length", type=int, default=argparse.SUPPRESS,
                            help="largest N to attempt")
         else:
             p.add_argument("--seed", type=int, default=argparse.SUPPRESS,

@@ -390,16 +390,30 @@ def test_transfer_matrix_refusals_exit_2(capsys, argv, message):
     assert json.loads(out) == {"error": message, "type": "ValueError"}
 
 
-def test_oracle_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("RAMSEYPROG_MAX_POINTS", "4")
-    code, _, _ = run(capsys, "oracle", "count", "--N", "5", "--k", "3",
-                     "--family", "semi", "--param", "1")
-    assert code == 3
-    monkeypatch.setenv("RAMSEYPROG_MAX_POINTS", "not-a-number")
-    code, _, err = run(capsys, "oracle", "count", "--N", "5", "--k", "3",
-                       "--family", "semi", "--param", "1")
-    assert code == 2
-    assert "RAMSEYPROG_MAX_POINTS" in err
+# each budget cap's variable, a value that binds when given as the flag, and
+# a run that the cap would stop
+CAP_RUNS = {
+    "RAMSEYPROG_MAX_NODES": ("10", ["search", "exact", "--k", "3"]),
+    "RAMSEYPROG_MAX_LENGTH": ("8", ["search", "exact", "--k", "3"]),
+    "RAMSEYPROG_MAX_POINTS": ("4", ["oracle", "count", "--N", "5", "--k", "3"]),
+    "RAMSEYPROG_MAX_COLORINGS": ("31", ["oracle", "count", "--N", "5", "--k", "3"]),
+}
+
+
+@pytest.mark.parametrize("variable", CAP_RUNS)
+def test_budget_environment_variables_are_ignored(capsys, monkeypatch, variable):
+    # a cap comes from its flag alone: its variable, set to the binding value
+    # or to a malformed one, changes nothing
+    cap, argv = CAP_RUNS[variable]
+    argv = [*argv, "--family", "semi", "--param", "1"]
+    flag = "--" + variable.removeprefix("RAMSEYPROG_").lower().replace("_", "-")
+    monkeypatch.delenv(variable, raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    assert run(capsys, *argv, flag, cap)[0] == 3
+    for raw in (cap, "abc"):
+        monkeypatch.setenv(variable, raw)
+        assert run(capsys, *argv) == unset, raw
 
 
 def test_search_exact_and_check_roundtrip(capsys, tmp_path):
@@ -462,28 +476,28 @@ def test_search_more_than_ten_colors_exit_2_before_searching(capsys, monkeypatch
     assert json.loads(out)["type"] == "ValueError"
 
 
-def test_budget_defaults_come_from_the_budget_records(monkeypatch):
-    for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
-        monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
+def test_budget_defaults_come_from_the_budget_records():
+    # a budget flag not given is absent from args and keeps the record's
+    # default; a flag given sets its one field and no other
     parser = cli.build_parser()
-    for argv, budget_cls in (
-        (["search", "exact", "--k", "3"], SearchBudget),
-        (["search", "witness", "--N", "8", "--k", "3"], SearchBudget),
-        (["oracle", "count", "--N", "5", "--k", "3"], OracleBudget),
-    ):
+    exact = ["search", "exact", "--k", "3"]
+    witness = ["search", "witness", "--N", "8", "--k", "3"]
+    count = ["oracle", "count", "--N", "5", "--k", "3"]
+    for argv, budget_cls in ((exact, SearchBudget), (witness, SearchBudget),
+                             (count, OracleBudget)):
         args = parser.parse_args(argv + ["--family", "semi", "--param", "1"])
         assert cli._budget(args, budget_cls) == budget_cls()
-
-
-def test_search_witness_ignores_max_length_env(capsys, monkeypatch):
-    argv = ["search", "witness", "--N", "8", "--k", "3", "--family", "semi",
-            "--param", "1", "--seed", "3"]
-    monkeypatch.delenv("RAMSEYPROG_MAX_LENGTH", raising=False)
-    unset = run(capsys, *argv)
-    assert unset[0] == 0
-    for raw in ("0", "abc"):
-        monkeypatch.setenv("RAMSEYPROG_MAX_LENGTH", raw)
-        assert run(capsys, *argv) == unset
+    for argv, budget_cls, flag in (
+        (exact, SearchBudget, "--max-nodes"),
+        (exact, SearchBudget, "--max-length"),
+        (witness, SearchBudget, "--seed"),
+        (witness, SearchBudget, "--restarts"),
+        (count, OracleBudget, "--max-points"),
+        (count, OracleBudget, "--max-colorings"),
+    ):
+        args = parser.parse_args(argv + ["--family", "semi", "--param", "1", flag, "7"])
+        field = flag[2:].replace("-", "_")
+        assert cli._budget(args, budget_cls) == budget_cls(**{field: 7}), flag
 
 
 @pytest.mark.parametrize("argv", [
@@ -675,8 +689,6 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
     lines = [line for line in block.split("```", 1)[0].splitlines()
              if line.startswith("ramseyprog ")]
-    for name in ("NODES", "LENGTH", "POINTS", "COLORINGS"):
-        monkeypatch.delenv(f"RAMSEYPROG_MAX_{name}", raising=False)
     monkeypatch.chdir(tmp_path)
     ran = 0
     for line in lines:

@@ -147,7 +147,6 @@ def test_search_witness_seed_and_restarts_default_to_the_budget_record(capsys, m
                         lambda r, N, k, family, budget: budgets.append(budget))
     monkeypatch.setenv("RAMSEYPROG_SEED", "5")
     monkeypatch.setenv("RAMSEYPROG_RESTARTS", "not-a-number")
-    monkeypatch.delenv("RAMSEYPROG_MAX_NODES", raising=False)
     argv = ["search", "witness", "--N", "8", "--k", "3", *FAMILY]
     assert cli.main(argv) == 3  # the stub finds no witness
     assert cli.main(argv + ["--seed", "3", "--restarts", "2"]) == 3

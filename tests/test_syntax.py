@@ -134,3 +134,36 @@ def test_floor_names_are_newer_than_the_floor():
         if hasattr(importlib.import_module(module), name) != (sys.version_info >= version)
     ]
     assert wrong == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """Each read of the process environment in ``tree``, as "os.name at line
+    n": an attribute of os, or a name imported from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+        else:
+            continue
+        found += [f"os.{n} at line {node.lineno}" for n in sorted(names & ENVIRONMENT_READS)]
+    return found
+
+
+def test_src_reads_no_environment_variables():
+    # the CLI and the library take their settings from arguments alone
+    found = {
+        str(path.relative_to(ROOT)): environment_reads(
+            ast.parse(path.read_text(encoding="utf-8"), str(path))
+        )
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert {path: reads for path, reads in found.items() if reads} == {}
+    reads = "import os\nfrom os import environ, path\nos.getenv('A')\nos.environ.get('B')\n"
+    assert environment_reads(ast.parse(reads)) == [
+        "os.environ at line 2", "os.getenv at line 3", "os.environ at line 4",
+    ]
