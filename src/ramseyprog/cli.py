@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import _lazy
 from .errors import BudgetExceededError, ConvergenceError
@@ -84,6 +84,8 @@ def _emit(fmt: str, payload, lines: list[str]) -> None:
     one header row and then one row per record.  A Fraction in the payload
     prints as its exact text "p/q", and text output never builds it."""
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, default=str))
     elif fmt == "csv":
         import csv
@@ -359,99 +361,144 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose arguments (for a group, its own subcommands) are
+    added by ``fills[name](subparser)`` when argparse selects ``name``, so a
+    call builds only the parsers on its path.  Each name and help line is
+    registered up front, so usage, help and error text do not change."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fills = {}
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        fill = self.fills.pop(values[0], None)
+        if fill is not None:
+            fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _fill_bound(kind: str, p: argparse.ArgumentParser) -> None:
+    if kind == "semi":
+        p.add_argument("--m", type=int, required=True, help="scope")
+    else:
+        p.add_argument("--r", type=int, required=True, help="colors")
+        p.add_argument("--n", type=int, required=True, help="diameter")
+    p.add_argument("--k", type=int, default=None, help="term count")
+    _add_format(p)
+    p.set_defaults(handler=cmd_bound)
+
+
+def _fill_table(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r-max", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=6)
+    _add_format(p, default="csv")
+    p.set_defaults(handler=cmd_table)
+
+
+def _fill_oracle(name: str, p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=int, default=2, help="colors (default 2)")
+    p.add_argument("--N", type=int, required=True, help="ground-set size")
+    p.add_argument("--k", type=int, required=True, help="term count")
+    _add_family(p)
+    if name in ("partition", "forced"):
+        p.add_argument("--a", type=int, required=True, help="first term")
+        p.add_argument("--d", type=int, required=True, help="low-difference")
+    p.add_argument("--max-points", type=int, default=argparse.SUPPRESS,
+                   help="largest ground set the oracle will sweep")
+    p.add_argument("--max-colorings", type=int, default=argparse.SUPPRESS,
+                   help="largest r^N the oracle will sweep")
+    _add_format(p)
+    p.set_defaults(handler=cmd_oracle)
+
+
+def _fill_search(name: str, p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=int, default=2, help="colors (default 2)")
+    if name == "witness":
+        p.add_argument("--N", type=int, required=True, help="ground-set size")
+    p.add_argument("--k", type=int, required=True, help="term count")
+    _add_family(p)
+    p.add_argument("--max-nodes", type=int, default=argparse.SUPPRESS,
+                   help="search node / repair-move cap")
+    if name == "exact":
+        p.add_argument("--max-length", type=int, default=argparse.SUPPRESS,
+                       help="largest N to attempt")
+    else:
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="random seed")
+        p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                       help="random restarts")
+    p.add_argument("--witness-out", default=None,
+                   help="write the witness certificate to this file")
+    _add_format(p)
+    p.set_defaults(handler=cmd_search)
+
+
+def _fill_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="witness certificate path")
+    _add_format(p)
+    p.set_defaults(handler=cmd_check)
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered with its name and
+    help line; with ``lazy``, a subcommand's arguments are added only when
+    argparse selects it, which is all one call needs.  Without, the whole
+    tree is built."""
+
+    def subcommands(parser, dest, *commands):
+        action = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
+        for name, help_text, fill in commands:
+            sub = action.add_parser(name, help=help_text)
+            if lazy:
+                action.fills[name] = fill
+            else:
+                fill(sub)
+
+    def group(dest, fill, *commands):
+        """The fill of a group whose subcommands each run fill(name, parser)."""
+        return lambda p: subcommands(p, dest, *(
+            (name, help_text, partial(fill, name)) for name, help_text in commands
+        ))
+
     parser = argparse.ArgumentParser(
         prog="ramseyprog",
         description="Lower bounds, exhaustive oracles, and exact threshold "
         "search for semi- and quasi-progression Ramsey functions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bound = sub.add_parser("bound", help="analytic lower-bound bases")
-    bound_sub = bound.add_subparsers(dest="bound_kind", required=True)
-    bound_semi = bound_sub.add_parser("semi", help="scope-m base alpha(m)")
-    bound_semi.add_argument("--m", type=int, required=True, help="scope")
-    bound_semi.add_argument("--k", type=int, default=None, help="term count")
-    _add_format(bound_semi)
-    bound_semi.set_defaults(handler=cmd_bound, bound_kind="semi")
-    bound_quasi = bound_sub.add_parser("quasi", help="diameter-n base beta(r,n)")
-    bound_quasi.add_argument("--r", type=int, required=True, help="colors")
-    bound_quasi.add_argument("--n", type=int, required=True, help="diameter")
-    bound_quasi.add_argument("--k", type=int, default=None, help="term count")
-    _add_format(bound_quasi)
-    bound_quasi.set_defaults(handler=cmd_bound, bound_kind="quasi")
-
-    table = sub.add_parser("table", help="beta over a grid of (r, n)")
-    table.add_argument("--r-max", type=int, default=4)
-    table.add_argument("--n-max", type=int, default=6)
-    _add_format(table, default="csv")
-    table.set_defaults(handler=cmd_table)
-
-    oracle = sub.add_parser("oracle", help="exhaustive small-N ground truth")
-    oracle_sub = oracle.add_subparsers(dest="oracle_cmd", required=True)
-    for name, help_text in (
-        ("count", "count colorings with a monochromatic progression"),
-        ("verify", "compare the exhaustive count against the analytic bound"),
-        ("partition", "check the primary-progression partition argument"),
-        ("forced", "check the per-progression forced-cell count bound"),
-    ):
-        p = oracle_sub.add_parser(name, help=help_text)
-        p.add_argument("--r", type=int, default=2, help="colors (default 2)")
-        p.add_argument("--N", type=int, required=True, help="ground-set size")
-        p.add_argument("--k", type=int, required=True, help="term count")
-        _add_family(p)
-        if name in ("partition", "forced"):
-            p.add_argument("--a", type=int, required=True, help="first term")
-            p.add_argument("--d", type=int, required=True, help="low-difference")
-        p.add_argument("--max-points", type=int, default=argparse.SUPPRESS,
-                       help="largest ground set the oracle will sweep")
-        p.add_argument("--max-colorings", type=int, default=argparse.SUPPRESS,
-                       help="largest r^N the oracle will sweep")
-        _add_format(p)
-        p.set_defaults(handler=cmd_oracle, oracle_cmd=name)
-
-    search = sub.add_parser("search", help="threshold search")
-    search_sub = search.add_subparsers(dest="search_cmd", required=True)
-    for name, help_text in (
-        ("exact", "exact threshold by backtracking"),
-        ("witness", "randomized witness search"),
-    ):
-        p = search_sub.add_parser(name, help=help_text)
-        p.add_argument("--r", type=int, default=2, help="colors (default 2)")
-        if name == "witness":
-            p.add_argument("--N", type=int, required=True, help="ground-set size")
-        p.add_argument("--k", type=int, required=True, help="term count")
-        _add_family(p)
-        p.add_argument("--max-nodes", type=int, default=argparse.SUPPRESS,
-                       help="search node / repair-move cap")
-        if name == "exact":
-            p.add_argument("--max-length", type=int, default=argparse.SUPPRESS,
-                           help="largest N to attempt")
-        else:
-            p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                           help="random seed")
-            p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
-                           help="random restarts")
-        p.add_argument("--witness-out", default=None,
-                       help="write the witness certificate to this file")
-        _add_format(p)
-        p.set_defaults(handler=cmd_search, search_cmd=name)
-
-    check = sub.add_parser("check", help="re-verify a witness certificate file")
-    check.add_argument("file", help="witness certificate path")
-    _add_format(check)
-    check.set_defaults(handler=cmd_check)
-
+    subcommands(
+        parser, "command",
+        ("bound", "analytic lower-bound bases", group(
+            "bound_kind", _fill_bound,
+            ("semi", "scope-m base alpha(m)"),
+            ("quasi", "diameter-n base beta(r,n)"),
+        )),
+        ("table", "beta over a grid of (r, n)", _fill_table),
+        ("oracle", "exhaustive small-N ground truth", group(
+            "oracle_cmd", _fill_oracle,
+            ("count", "count colorings with a monochromatic progression"),
+            ("verify", "compare the exhaustive count against the analytic bound"),
+            ("partition", "check the primary-progression partition argument"),
+            ("forced", "check the per-progression forced-cell count bound"),
+        )),
+        ("search", "threshold search", group(
+            "search_cmd", _fill_search,
+            ("exact", "exact threshold by backtracking"),
+            ("witness", "randomized witness search"),
+        )),
+        ("check", "re-verify a witness certificate file", _fill_check),
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(lazy=True).parse_args(argv)
     fmt = getattr(args, "format", "text")
 
     def fail(exc: Exception, code: int) -> int:
         if fmt == "json":
+            import json
+
             print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,6 @@ no reference to how it was produced.
 
 from __future__ import annotations
 
-import json
-import random
 from typing import List, Optional, Tuple
 
 from .errors import BudgetExceededError, WitnessFormatError
@@ -295,6 +293,8 @@ def random_witness_search(
         raise ValueError("need at least 2 terms")
     if r < 2:
         raise ValueError("need at least 2 colors")
+    import random
+
     rng = random.Random(budget.seed)
     per_attempt = max(1, budget.max_nodes // budget.restarts)
     for _ in range(min(budget.restarts, budget.max_nodes)):
@@ -323,6 +323,8 @@ def write_witness(path: str, chi: Coloring, k: int, family: Family) -> None:
     coloring as base-r digits (position i+1's color at index i).  Both lines
     are built before the file opens, so a coloring with too many colors for
     digits leaves no file."""
+    import json
+
     header = {
         "family": family.kind,
         "param": family.param,
@@ -341,6 +343,8 @@ def read_witness(path: str) -> Tuple[Coloring, int, Family]:
     Raises WitnessFormatError on any structural problem; the returned
     coloring still needs check_witness to be believed.
     """
+    import json
+
     try:
         with open(path, "r", encoding="ascii") as fh:
             header_line = fh.readline()

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import decimal
@@ -599,6 +600,82 @@ def test_invalid_values_exit_2(capsys):
     code, _, _ = run(capsys, "oracle", "count", "--N", "5", "--k", "3",
                      "--family", "quasi", "--param", "-1")
     assert code == 2
+
+
+# one valid call per leaf of the command tree, a required argument first
+FAMILY = ["--family", "semi", "--param", "1"]
+LEAF_CALLS = {
+    ("bound", "semi"): ["--m", "2", "--k", "10"],
+    ("bound", "quasi"): ["--r", "2", "--n", "1", "--k", "10", "--format", "json"],
+    ("table",): ["--r-max", "3", "--n-max", "2"],
+    ("oracle", "count"): ["--N", "6", "--k", "3", *FAMILY],
+    ("oracle", "verify"): ["--N", "6", "--k", "3", *FAMILY, "--format", "json"],
+    ("oracle", "partition"): ["--N", "5", "--k", "3", *FAMILY, "--a", "1", "--d", "1"],
+    ("oracle", "forced"): ["--N", "5", "--k", "3", *FAMILY, "--a", "1", "--d", "1"],
+    ("search", "exact"): ["--k", "3", *FAMILY, "--max-length", "20"],
+    ("search", "witness"): ["--N", "8", "--k", "3", *FAMILY, "--seed", "3"],
+    ("check",): ["WITNESS"],
+}
+PARITY_ARGV = [
+    [], ["--help", "search"], ["frobnicate"], ["--frobnicate"],
+    ["--", "bound", "semi", "--m", "2"], ["bound", "--", "semi", "--m", "2"],
+    ["search", "exact", "--seed", "1", "--k", "3", *FAMILY],
+    ["search", "witness", "--max-length", "5", "--N", "8", "--k", "3", *FAMILY],
+    ["bound", "semi", "--m", "2", "--k", "ten"],
+    ["search", "exact", "--format", "json", "--k", "3", *FAMILY],
+    *([*group, "-h"] for group in dict.fromkeys(leaf[:-1] for leaf in LEAF_CALLS)),  # root too
+    *([*leaf, "-h"] for leaf in LEAF_CALLS),
+    *([*leaf, *args[2:]] for leaf, args in LEAF_CALLS.items()),  # a required one missing
+    *([*leaf, *args, "--frobnicate", "1"] for leaf, args in LEAF_CALLS.items()),
+]
+VALID_ARGV = [[*leaf, *args] for leaf, args in LEAF_CALLS.items()]
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, (*path, name))
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _parsed(capsys, parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        capsys.readouterr()
+
+
+def test_parity_argv_cover_every_leaf():
+    assert list(_leaves(cli.build_parser())) == list(LEAF_CALLS)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV + VALID_ARGV, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv):
+    # main builds only the subcommands argparse selects; its exit code,
+    # output and namespace are those of the fully built parser
+    path = tmp_path / "w.txt"
+    write_witness(str(path), Coloring((0, 0, 1, 1, 0, 0, 1, 1), 2), 3, Family.semi(1))
+    valid = argv in VALID_ARGV
+    argv = [str(path) if a == "WITNESS" else a for a in argv]
+    full = cli.build_parser()
+    assert _parsed(capsys, cli.build_parser(lazy=True), argv) == _parsed(capsys, full, argv)
+    lazy = _outcome(capsys, argv)
+    assert lazy[0] == 0 or not valid, lazy
+    monkeypatch.setattr(cli, "build_parser", lambda lazy: full)
+    assert _outcome(capsys, argv) == lazy
 
 
 # the text output and certificate file of each search outcome, recorded

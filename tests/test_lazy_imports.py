@@ -3,8 +3,8 @@ imports no layer, and each subcommand imports only the layer it runs, while
 ``ramseyprog.X``, ``from ramseyprog import X`` and ``cli.<name>`` (which
 tests and the benchmark's tracer swap wrappers onto) keep working."""
 
+import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -23,46 +23,53 @@ RECORD_HELPERS = {"dataclasses", "inspect"}  # the records need neither
 
 
 def _modules_loaded_by(argv):
-    """The modules in sys.modules after cli.main(argv) in a fresh process: the
-    test process has imported every layer already."""
+    """The modules that cli.main(argv) adds to sys.modules in a fresh process
+    (the test process has imported every layer already).  The child takes its
+    snapshot before it imports anything to report it, and runs with -S, as
+    a .pth file in site-packages may import modules such as random first."""
     code = (
-        "import json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "from ramseyprog import cli\n"
         "try:\n"
         f"    cli.main({argv!r})\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "print(added)\n"
     )
     src = str(Path(ramseyprog.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["--help"], LAYERS | RECORD_HELPERS | {"fractions", "csv"}),
+    (["--help"], LAYERS | RECORD_HELPERS | {"fractions", "csv", "json", "random"}),
     (["bound", "quasi", "--r", "2", "--n", "1", "--k", "10"],
-     {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
+     {"ramseyprog.search", "ramseyprog.oracle", "json"} | RECORD_HELPERS),
     (["table", "--r-max", "3", "--n-max", "2"],
-     {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
+     {"ramseyprog.search", "ramseyprog.oracle", "json"} | RECORD_HELPERS),
     (["search", "witness", "--N", "8", "--k", "3", *FAMILY],
      {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
     (["check", "WITNESS"],
-     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
+     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions", "random"} | RECORD_HELPERS),
     (["oracle", "count", "--N", "6", "--k", "3", *FAMILY],
-     {"ramseyprog.search", "ramseyprog.bounds", "fractions", "decimal"} | RECORD_HELPERS),
+     {"ramseyprog.search", "ramseyprog.bounds", "fractions", "decimal", "json"}
+     | RECORD_HELPERS),
     (["bound", "semi", "--m", "2", "--k", "10"],
      {"ramseyprog.search", "ramseyprog.oracle"} | RECORD_HELPERS),
     (["search", "exact", "--k", "3", *FAMILY],
-     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions"} | RECORD_HELPERS),
+     {"ramseyprog.bounds", "ramseyprog.oracle", "fractions", "random"} | RECORD_HELPERS),
     (["oracle", "verify", "--N", "6", "--k", "3", *FAMILY],
      {"ramseyprog.search"} | RECORD_HELPERS),
     (["oracle", "partition", "--N", "5", "--k", "3", *FAMILY, "--a", "1", "--d", "1"],
      {"ramseyprog.search", "ramseyprog.bounds", "fractions", "decimal"} | RECORD_HELPERS),
+    (["table", "--r-max", "3", "--n-max", "2", "--format", "text"],
+     {"ramseyprog.search", "ramseyprog.oracle", "csv", "json"} | RECORD_HELPERS),
 ])
 def test_each_call_loads_only_its_layer(tmp_path, argv, absent):
     if "WITNESS" in argv:
@@ -72,6 +79,10 @@ def test_each_call_loads_only_its_layer(tmp_path, argv, absent):
     loaded = _modules_loaded_by(argv)
     assert "ramseyprog.cli" in loaded
     assert loaded & absent == set()
+
+
+def test_search_witness_loads_random():
+    assert "random" in _modules_loaded_by(["search", "witness", "--N", "8", "--k", "3", *FAMILY])
 
 
 def test_package_names_resolve_to_their_home_objects():
