@@ -22,8 +22,10 @@ Budgets: search exact reads --max-nodes and --max-length, search witness
 --max-nodes, --seed and --restarts, and oracle --max-points and
 --max-colorings.  oracle verify --family semi also holds the m(k - 1) bits
 of its bound's power (1 - 2^-m)^(k - 1) to --max-colorings, and exits 3
-before the bound or the count runs when they exceed it.  A flag not given
-keeps its default in SearchBudget or OracleBudget.
+before the bound or the count runs when they exceed it; oracle verify
+--family quasi does the same with the (n + 1)(k - 1) ceil(log2 r) bits of
+its bound.  A flag not given keeps its default in SearchBudget or
+OracleBudget.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import contextlib
 import math
 import os
 import sys
-from functools import partial
 
 from . import _lazy
 from .errors import BudgetExceededError, ConvergenceError
@@ -362,20 +363,58 @@ def _add_family(p: argparse.ArgumentParser) -> None:
 
 
 class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose arguments (for a group, its own subcommands) are
-    added by ``fills[name](subparser)`` when argparse selects ``name``, so a
-    call builds only the parsers on its path.  Each name and help line is
-    registered up front, so usage, help and error text do not change."""
+    """One level of the command tree.  Each ``(name, help)`` of ``commands``
+    is registered up front, so usage, help and error text are those of the
+    whole tree; ``fill(name, subparser)`` adds a subcommand's arguments (for
+    a group, its own subcommands) when argparse selects it, so a call builds
+    only the parsers on its path."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, fill, commands, **kwargs):
         super().__init__(*args, **kwargs)
-        self.fills = {}
+        self.fill = fill
+        for name, help_text in commands:
+            self.add_parser(name, help=help_text)
+        self.unfilled = {name for name, _ in commands}
 
     def __call__(self, parser, namespace, values, option_string=None):
-        fill = self.fills.pop(values[0], None)
-        if fill is not None:
-            fill(self._name_parser_map[values[0]])
+        if values[0] in self.unfilled:
+            self.unfilled.remove(values[0])
+            self.fill(values[0], self.choices[values[0]])
         super().__call__(parser, namespace, values, option_string)
+
+
+def _fill_command(name: str, p: argparse.ArgumentParser) -> None:
+    """A top-level subcommand: a group gets its subcommands, table and
+    check their arguments."""
+    if name == "bound":
+        p.add_subparsers(dest="bound_kind", required=True, action=_Subcommands,
+                         fill=_fill_bound, commands=(
+            ("semi", "scope-m base alpha(m)"),
+            ("quasi", "diameter-n base beta(r,n)"),
+        ))
+    elif name == "table":
+        p.add_argument("--r-max", type=int, default=4)
+        p.add_argument("--n-max", type=int, default=6)
+        _add_format(p, default="csv")
+        p.set_defaults(handler=cmd_table)
+    elif name == "oracle":
+        p.add_subparsers(dest="oracle_cmd", required=True, action=_Subcommands,
+                         fill=_fill_oracle, commands=(
+            ("count", "count colorings with a monochromatic progression"),
+            ("verify", "compare the exhaustive count against the analytic bound"),
+            ("partition", "check the primary-progression partition argument"),
+            ("forced", "check the per-progression forced-cell count bound"),
+        ))
+    elif name == "search":
+        p.add_subparsers(dest="search_cmd", required=True, action=_Subcommands,
+                         fill=_fill_search, commands=(
+            ("exact", "exact threshold by backtracking"),
+            ("witness", "randomized witness search"),
+        ))
+    else:
+        p.add_argument("file", help="witness certificate path")
+        _add_format(p)
+        p.set_defaults(handler=cmd_check)
 
 
 def _fill_bound(kind: str, p: argparse.ArgumentParser) -> None:
@@ -387,13 +426,6 @@ def _fill_bound(kind: str, p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="term count")
     _add_format(p)
     p.set_defaults(handler=cmd_bound)
-
-
-def _fill_table(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=6)
-    _add_format(p, default="csv")
-    p.set_defaults(handler=cmd_table)
 
 
 def _fill_oracle(name: str, p: argparse.ArgumentParser) -> None:
@@ -434,65 +466,28 @@ def _fill_search(name: str, p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=cmd_search)
 
 
-def _fill_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="witness certificate path")
-    _add_format(p)
-    p.set_defaults(handler=cmd_check)
-
-
-def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand is registered with its name and
-    help line; with ``lazy``, a subcommand's arguments are added only when
-    argparse selects it, which is all one call needs.  Without, the whole
-    tree is built."""
-
-    def subcommands(parser, dest, *commands):
-        action = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
-        for name, help_text, fill in commands:
-            sub = action.add_parser(name, help=help_text)
-            if lazy:
-                action.fills[name] = fill
-            else:
-                fill(sub)
-
-    def group(dest, fill, *commands):
-        """The fill of a group whose subcommands each run fill(name, parser)."""
-        return lambda p: subcommands(p, dest, *(
-            (name, help_text, partial(fill, name)) for name, help_text in commands
-        ))
-
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, which fills each subcommand when argparse selects
+    it.  Every subcommand is registered with its name and help line, but a
+    caller that walks ``choices`` before parsing sees unfilled ones."""
     parser = argparse.ArgumentParser(
         prog="ramseyprog",
         description="Lower bounds, exhaustive oracles, and exact threshold "
         "search for semi- and quasi-progression Ramsey functions.",
     )
-    subcommands(
-        parser, "command",
-        ("bound", "analytic lower-bound bases", group(
-            "bound_kind", _fill_bound,
-            ("semi", "scope-m base alpha(m)"),
-            ("quasi", "diameter-n base beta(r,n)"),
-        )),
-        ("table", "beta over a grid of (r, n)", _fill_table),
-        ("oracle", "exhaustive small-N ground truth", group(
-            "oracle_cmd", _fill_oracle,
-            ("count", "count colorings with a monochromatic progression"),
-            ("verify", "compare the exhaustive count against the analytic bound"),
-            ("partition", "check the primary-progression partition argument"),
-            ("forced", "check the per-progression forced-cell count bound"),
-        )),
-        ("search", "threshold search", group(
-            "search_cmd", _fill_search,
-            ("exact", "exact threshold by backtracking"),
-            ("witness", "randomized witness search"),
-        )),
-        ("check", "re-verify a witness certificate file", _fill_check),
-    )
+    parser.add_subparsers(dest="command", required=True, action=_Subcommands,
+                          fill=_fill_command, commands=(
+        ("bound", "analytic lower-bound bases"),
+        ("table", "beta over a grid of (r, n)"),
+        ("oracle", "exhaustive small-N ground truth"),
+        ("search", "threshold search"),
+        ("check", "re-verify a witness certificate file"),
+    ))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser(lazy=True).parse_args(argv)
+    args = build_parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
 
     def fail(exc: Exception, code: int) -> int:

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import csv
 import decimal
@@ -24,6 +23,7 @@ from ramseyprog.oracle import OracleBudget
 from ramseyprog.search import SearchBudget, write_witness
 
 from brute import floor_beta_n1_power
+from cli_tree import full_tree, options
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -631,15 +631,6 @@ PARITY_ARGV = [
 VALID_ARGV = [[*leaf, *args] for leaf, args in LEAF_CALLS.items()]
 
 
-def _leaves(parser, path=()):
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield path
-    for action in subs:
-        for name, sub in action.choices.items():
-            yield from _leaves(sub, (*path, name))
-
-
 def _outcome(capsys, argv):
     try:
         code = main(argv)
@@ -659,22 +650,54 @@ def _parsed(capsys, parser, argv):
 
 
 def test_parity_argv_cover_every_leaf():
-    assert list(_leaves(cli.build_parser())) == list(LEAF_CALLS)
+    assert list(full_tree()[1]) == list(LEAF_CALLS)
+
+
+# each leaf's options without --help and --format, 55 in all; a knob added
+# or dropped is re-pinned here on purpose
+LEAF_OPTIONS = {
+    ("bound", "semi"): ["--m", "--k"],
+    ("bound", "quasi"): ["--r", "--n", "--k"],
+    ("table",): ["--r-max", "--n-max"],
+    ("oracle", "count"): [
+        "--r", "--N", "--k", "--family", "--param", "--max-points", "--max-colorings"],
+    ("oracle", "verify"): [
+        "--r", "--N", "--k", "--family", "--param", "--max-points", "--max-colorings"],
+    ("oracle", "partition"): [
+        "--r", "--N", "--k", "--family", "--param", "--a", "--d",
+        "--max-points", "--max-colorings"],
+    ("oracle", "forced"): [
+        "--r", "--N", "--k", "--family", "--param", "--a", "--d",
+        "--max-points", "--max-colorings"],
+    ("search", "exact"): [
+        "--r", "--k", "--family", "--param", "--max-nodes", "--max-length",
+        "--witness-out"],
+    ("search", "witness"): [
+        "--r", "--N", "--k", "--family", "--param", "--max-nodes", "--seed",
+        "--restarts", "--witness-out"],
+    ("check",): [],
+}
+
+
+def test_each_leaf_keeps_its_options():
+    leaves = full_tree()[1]
+    assert {path: options(leaf) for path, leaf in leaves.items()} == LEAF_OPTIONS
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGV + VALID_ARGV, ids=" ".join)
 def test_main_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv):
     # main builds only the subcommands argparse selects; its exit code,
-    # output and namespace are those of the fully built parser
+    # output and namespace are those of a parser whose every subcommand
+    # was filled before
     path = tmp_path / "w.txt"
     write_witness(str(path), Coloring((0, 0, 1, 1, 0, 0, 1, 1), 2), 3, Family.semi(1))
     valid = argv in VALID_ARGV
     argv = [str(path) if a == "WITNESS" else a for a in argv]
-    full = cli.build_parser()
-    assert _parsed(capsys, cli.build_parser(lazy=True), argv) == _parsed(capsys, full, argv)
+    full = full_tree()[0]
+    assert _parsed(capsys, cli.build_parser(), argv) == _parsed(capsys, full, argv)
     lazy = _outcome(capsys, argv)
     assert lazy[0] == 0 or not valid, lazy
-    monkeypatch.setattr(cli, "build_parser", lambda lazy: full)
+    monkeypatch.setattr(cli, "build_parser", lambda: full)
     assert _outcome(capsys, argv) == lazy
 
 
