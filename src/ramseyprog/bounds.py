@@ -30,8 +30,8 @@ O(n) from its structure.  Its Perron root is enclosed in an exact rational
 Collatz-Wielandt bracket (``perron_bracket``), narrowed by inverse iteration
 solved in O(n) in big-integer fixed point, and threshold floors are decided
 from both ends of it; floats are only for display.  Exact-rational bisection
-on the Sturm sequence of the characteristic polynomial of the dense rows
-(``transfer_matrix``) is an independent check.
+on the M-matrix test of the dense rows (``transfer_matrix``), every leading
+principal minor of xI - A positive, is an independent check.
 """
 
 from __future__ import annotations
@@ -180,69 +180,45 @@ def perron_bracket(r: int, n: int, bits: int = 48) -> Tuple[Fraction, Fraction]:
     raise ConvergenceError(f"Perron bracket wider than 2^-{bits} after the step cap")
 
 
-def _charpoly(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """det(xI - A)'s coefficients, highest degree first, exactly, by
-    Faddeev-LeVerrier: M_j = A M_(j-1) + c_(j-1) I and c_j = -tr(A M_j) / j."""
-    n = len(rows)
-    coeffs, M = [Fraction(1)], [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        M = [[sum(a * m for a, m in zip(row, col)) for col in zip(*M)] for row in rows]
-        for i in range(n):
-            M[i][i] += coeffs[-1]
-        trace = sum(a * m for row, col in zip(rows, zip(*M)) for a, m in zip(row, col))
-        coeffs.append(-trace / j)
-    return coeffs
-
-
-def _poly_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List, List]:
-    """Quotient and remainder of a / b, coefficients highest degree first."""
-    quot = []
-    while len(a) >= len(b):
-        quot.append(a[0] / b[0])
-        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
-    while a and not a[0]:
-        a = a[1:]
-    return quot, a
-
-
 def lambda_max_by_charpoly(rows: Sequence[Sequence]) -> float:
-    """Perron root of the matrix with these rows, by exact-rational bisection
-    on det(xI - A).
+    """Perron root of the nonnegative matrix with these rows, by exact-rational
+    bisection until hi - lo is at most 1e-12.
 
-    Independent of perron_bracket: the Sturm sequence of the exact
-    characteristic polynomial counts its distinct real roots above any x,
-    and bisection from outside the Gershgorin discs keeps exactly one root,
-    the largest, above ``lo`` until hi - lo is at most 1e-12.  Intended for
-    small matrices (cross-check path); cost grows quickly with dimension.
+    Independent of perron_bracket: for A >= 0, x > lambda_max exactly when
+    every leading principal minor of xI - A is positive (the M-matrix
+    criterion; Berman and Plemmons, Nonnegative Matrices, ch. 6), and the
+    least and greatest row sums hold lambda_max.  With the rows scaled to
+    integers and x = num / den, fraction-free (Bareiss) elimination on
+    scale (num I - den A) has those minors, times positive powers of
+    scale den, as its pivots.  Intended for small matrices (cross-check path).
     """
-    p = _charpoly(rows)
-    seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
-    while len(seq[-1]) > 1 and (rem := _poly_divmod(seq[-2], seq[-1])[1]):
-        seq.append([-c for c in rem])
-    if len(seq[-1]) > 1:  # repeated roots: divide out gcd(p, p') to keep counts exact
-        seq = [_poly_divmod(q, seq[-1])[0] for q in seq]
-    at_infinity = sum((s[0] > 0) != (t[0] > 0) for s, t in zip(seq, seq[1:]))
+    if any(a < 0 for row in rows for a in row):
+        raise ValueError("the M-matrix criterion needs nonnegative entries")
+    scale = math.lcm(*(Fraction(a).denominator for row in rows for a in row))
+    ints = [[int(Fraction(a) * scale) for a in row] for row in rows]
 
-    def roots_above(x: Fraction) -> int:
-        signs = []
-        for q in seq:
-            value = Fraction(0)
-            for c in q:
-                value = value * x + c
-            if value:
-                signs.append(value > 0)
-        return sum(s != t for s, t in zip(signs, signs[1:])) - at_infinity
+    def above(num: int, den: int) -> bool:  # num / den > lambda_max
+        m = [[num * scale * (i == j) - den * a for j, a in enumerate(row)]
+             for i, row in enumerate(ints)]
+        prev = 1
+        for p, pivot_row in enumerate(m):
+            pivot = pivot_row[p]  # the leading minor of order p + 1, scaled
+            if pivot <= 0:
+                return False
+            for row in m[p + 1:]:
+                for j in range(p + 1, len(m)):
+                    row[j] = (row[j] * pivot - row[p] * pivot_row[j]) // prev
+            prev = pivot
+        return True
 
-    hi = max(sum(abs(a) for a in row) for row in rows) + 1
-    lo = -hi
-    if not roots_above(lo):
-        raise ArithmeticError("characteristic polynomial has no real root")
+    sums = [sum(row) for row in ints]
+    lo, hi = Fraction(min(sums), scale), Fraction(max(sums), scale)
     while float(hi - lo) > 1e-12:
         mid = (lo + hi) / 2
-        if roots_above(mid):
-            lo = mid
-        else:
+        if above(mid.numerator, mid.denominator):
             hi = mid
+        else:
+            lo = mid
     return float((lo + hi) / 2)
 
 

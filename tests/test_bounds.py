@@ -159,12 +159,14 @@ def test_dominant_eigenvalue_convergence_error(monkeypatch):
 
 
 def test_charpoly_cross_check():
-    for r in (2, 3, 4):
-        for n in (1, 2, 3):
+    for r in range(2, 11):
+        for n in range(9):
             lo, hi = perron_bracket(r, n)
             bisected = lambda_max_by_charpoly(transfer_matrix(r, n))
-            assert lo - 1e-11 <= bisected <= hi + 1e-11
-
+            assert lo - 1e-11 <= bisected <= hi + 1e-11, (r, n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lambda_max_by_charpoly([[1, Fraction(-1, 2)], [0, 1]])
+    assert lambda_max_by_charpoly([[0]]) == 0.0
 
 
 def _near_diagonal(diagonal):
@@ -232,6 +234,24 @@ def test_beta_quasi_values():
         beta_quasi(2, 0)
 
 
+@pytest.mark.parametrize("n, useful", [(1, True), (2, False)])
+def test_beta_quasi_narrows_while_r_is_in_the_bracket(monkeypatch, n, useful):
+    # a first bracket that holds r = 2 decides nothing, so beta_quasi asks
+    # for twice the bits and reads useful from that bracket alone
+    real, asked = bounds.perron_bracket, []
+
+    def bracket(r, n, bits=48):
+        asked.append(bits)
+        return (Fraction(1), Fraction(3)) if bits == 48 else real(r, n, bits)
+
+    monkeypatch.setattr(bounds, "perron_bracket", bracket)
+    res = beta_quasi(2, n)
+    lo, hi = real(2, n, 96)
+    assert asked == [48, 96]
+    assert (res.lambda_hi, res.useful) == (hi, useful)
+    assert res.lambda_lo <= lo and res.lambda_lo <= res.lambda_max <= hi
+
+
 def test_weighted_conjugate_sum_base_cases():
     vec, total = weighted_conjugate_sum(1, 2, 1)
     assert vec == [Fraction(1), Fraction(1, 2)]
@@ -278,6 +298,8 @@ def test_quasi_counting_bound():
         assert quasi_counting_bound(r, 7, 2, n) == Fraction(49) * r ** (7 - 1) * s1
     with pytest.raises(ValueError):
         quasi_counting_bound(2, 10, 1, 1)
+    with pytest.raises(ValueError, match="ground set must be non-empty"):
+        quasi_counting_bound(2, 0, 3, 1)
 
 
 def test_semi_bound_threshold_is_exact():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,16 @@ def test_bound_quasi_threshold_exact(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_lo"] <= payload["lambda_max"] <= payload["lambda_hi"]
+
+
+def test_quasi_fields_round_the_enclosure_outward():
+    # float() rounds both ends to nearest: up past lambda_lo and down past
+    # lambda_hi here, so each must step one ulp outward
+    lo, hi = Fraction(3, 2) - Fraction(1, 2**80), Fraction(7, 4) + Fraction(1, 2**80)
+    res = bounds.BoundResult(Family.quasi(1), 2, 1.1, 1.6, lo, hi, True)
+    fields = cli._quasi_fields(res)
+    assert fields["lambda_lo"] == math.nextafter(1.5, 0) and fields["lambda_lo"] <= lo
+    assert fields["lambda_hi"] == math.nextafter(1.75, 2) and fields["lambda_hi"] >= hi
 
 
 def test_bound_quasi_prints_floors_of_any_length(capsys):
@@ -347,6 +358,8 @@ def test_oracle_partition_and_forced_edge_cases(capsys, command):
         assert run(capsys, *base, *extra) == (2, "", f"error: {message}\n")
     code, _, err = run(capsys, *base, "--r", "1", "--N", "30")
     assert code == 3 and "budget" in err
+    # no 3-term progression of [1, 6] starts at 5 with low-difference 1
+    assert run(capsys, *base, "--a", "5") == (0, f"{command} check: ok\n", "")
 
 
 def test_oracle_budget_exceeded_exit_3(capsys):
@@ -719,6 +732,13 @@ SEARCH_TAILS = [
         '{"family": "semi", "param": 1, "r": 2, "k": 4, "n_points": 18}\n'
         '000100101011010001\n',
         id="exact-node-budget",
+    ),
+    pytest.param(
+        ["exact", "--k", "10", "--max-length", "5"], 3,
+        "budget exhausted: threshold exceeds max_length=5\nbest lower bound: value >= 10\n"
+        "witness (length 9) = 000000000\n",
+        '{"family": "semi", "param": 1, "r": 2, "k": 10, "n_points": 9}\n000000000\n',
+        id="exact-k-past-max-length",
     ),
     pytest.param(
         ["witness", "--N", "8", "--k", "3", "--seed", "3"], 0,

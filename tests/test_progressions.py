@@ -352,6 +352,8 @@ def test_find_monochromatic_examples():
     assert p.terms == (1, 2, 3, 4, 5)
     tiny = Coloring((0, 1), 2)
     assert find_monochromatic(tiny, 3, Family.semi(1)) is None
+    with pytest.raises(ValueError, match="at least two terms"):
+        find_monochromatic(allsame, 1, Family.semi(1))
 
 
 def test_find_monochromatic_matches_brute_force():

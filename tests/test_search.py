@@ -187,6 +187,12 @@ def test_exact_threshold_max_length_exhaustion():
     assert partial.value == 6  # a valid coloring of [1,5] was found
     assert not partial.exhaustive
     assert check_witness(partial.witness, 3, SEMI1)
+    # k past max_length is refused before any node: the all-zero k - 1 prefix
+    with pytest.raises(BudgetExceededError, match="max_length=5") as err:
+        exact_threshold(2, 10, SEMI1, SearchBudget(max_length=5))
+    partial = err.value.partial
+    assert partial.nodes_explored == 0
+    assert (partial.value, partial.witness.colors) == (10, (0,) * 9)
 
 
 def test_exact_threshold_validation():
