@@ -1,3 +1,7 @@
+import csv
+import functools
+import io
+import json
 import math
 import random
 import time
@@ -5,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramseyprog import bounds
+from ramseyprog import bounds, cli
 from ramseyprog.bounds import (
     beta_quasi,
     beta_table,
@@ -158,6 +162,54 @@ def test_dominant_eigenvalue_convergence_error(monkeypatch):
         perron_bracket(3, 2, bits=200)
 
 
+def test_perron_bracket_steps(monkeypatch):
+    # at most 4 Collatz-Wielandt evaluations (3 steps) per cell of the
+    # 10 x 30 table, and 5 (4 steps) at r = 2 up to n = 63 for 200 bits
+    monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 3)
+    assert len(beta_table(10, 30)) == 270
+    monkeypatch.setattr(bounds, "MAX_POWER_STEPS", 4)
+    for n in range(58, 64):
+        lo, hi = perron_bracket(2, n, 200)
+        assert (hi - lo) * 2**200 <= lo
+    lo, hi = perron_bracket(2, 63)
+    assert (hi - lo) * 2**48 <= lo
+
+
+def test_perron_bracket_survives_any_solve(monkeypatch):
+    # the bracket holds for any positive v, so a step whose solve comes out
+    # negative, or vanishes with the 2 x 2 determinant, costs steps at most
+    real, state = bounds._march, {"mode": "plain", "zeroed": 0}
+
+    def march(weights, sigma, prec, v, first, last):
+        x, residuals = real(weights, sigma, prec, v, first, last)
+        if state["mode"] == "negated" and first == last == 0:  # the solve with rhs v
+            return [-e for e in x], tuple(-e for e in residuals)
+        if state["mode"] == "singular" and state["zeroed"] < 3:  # the first step
+            state["zeroed"] += 1
+            return x, (0, 0)
+        return x, residuals
+
+    monkeypatch.setattr(bounds, "_march", march)
+    for r, n, bits in ((2, 30, 200), (3, 2, 120), (10, 63, 48)):
+        state.update(mode="plain")
+        expected = perron_bracket(r, n, bits)
+        state.update(mode="negated")  # x flips as a whole; its sum flips it back
+        assert perron_bracket(r, n, bits) == expected
+        state.update(mode="singular", zeroed=0)  # det = c_0 = c_n = 0, x = 0, v = 1
+        lo, hi = perron_bracket(r, n, bits)
+        assert (hi - lo) * 2**bits <= lo and lo <= expected[1] and expected[0] <= hi
+        assert state["zeroed"] == 3
+
+
+def test_transfer_matrix_is_persymmetric():
+    # B^T = J B J with J the reversal, so v reversed is a left vector for B
+    for r in range(2, 7):
+        for n in range(11):
+            rows = transfer_matrix(r, n)
+            assert all(rows[i][j] == rows[n - j][n - i]
+                       for i in range(n + 1) for j in range(n + 1)), (r, n)
+
+
 def test_charpoly_cross_check():
     for r in range(2, 11):
         for n in range(9):
@@ -207,9 +259,14 @@ def test_structured_product_matches_dense_rows():
                 assert bounds._structured_product(weights, vec) == dense, (r, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_bracket(r, n, bits):
+    return dense_perron_bracket(transfer_matrix(r, n), bits)
+
+
 def _assert_brackets_agree(r, n, bits):
     lo, hi = perron_bracket(r, n, bits)
-    dense_lo, dense_hi = dense_perron_bracket(transfer_matrix(r, n), bits)
+    dense_lo, dense_hi = _dense_bracket(r, n, bits)
     assert 0 < lo <= hi and (hi - lo) * 2**bits <= lo, (r, n, bits)
     assert lo <= dense_hi and dense_lo <= hi, (r, n, bits)
 
@@ -222,6 +279,28 @@ def test_bracket_overlaps_the_dense_bracket():
     for r, n in ((2, 3), (3, 2), (5, 6), (10, 10)):
         for bits in (120, 2000):
             _assert_brackets_agree(r, n, bits)
+
+
+def test_printed_table_agrees_with_the_dense_brackets(capsys):
+    # the benchmark's table, read back from the CLI, against the dense route
+    def table(*fmt):
+        assert cli.main(["table", "--r-max", "10", "--n-max", "30", *fmt]) == 0
+        return capsys.readouterr().out
+
+    records = json.loads(table("--format", "json"))
+    rows = list(csv.DictReader(io.StringIO(table())))
+    assert len(records) == len(rows) == 270
+    for cell, row in zip(records, rows):
+        r, n = cell["r"], cell["n"]
+        assert (int(row["r"]), int(row["n"])) == (r, n)
+        assert cell["lambda_lo"] <= cell["lambda_max"] <= cell["lambda_hi"], (r, n)
+        dense_lo, dense_hi = _dense_bracket(r, n, 48)
+        assert row["useful"] == str(dense_hi < r).lower(), (r, n)
+        if dense_hi < r:
+            ends = {cli._truncate5(math.sqrt(r / lam)) for lam in (dense_lo, dense_hi)}
+            assert ends == {row["beta"]}, (r, n)
+        else:
+            assert r < dense_lo and row["beta"] == "<1", (r, n)
 
 
 def test_beta_quasi_values():
