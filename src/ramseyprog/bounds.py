@@ -121,19 +121,19 @@ def _march(weights: Sequence[int], sigma: int, prec: int, v: Sequence[int],
     drops = [a - b for a, b in zip(weights, weights[1:])]
     total = (sigma * first - (v[0] << prec)) // (weights[0] << prec)  # S(n), by row 0
     up, down = [first], [last]  # x_0, x_1, ... and x_n, x_(n-1), ...
-    up_sums, down_sums = [first], [last]
+    up_sum, down_sum = first, last
     for step in range(n):
         if step % 2 == 0:  # rows i, i+1 give x_(i+1)
             i = len(up) - 1
-            rhs = v[i + 1] - v[i] - drops[i] * (total - down_sums[i])
+            rhs = v[i + 1] - v[i] - drops[i] * (total - down_sum)
             up.append(up[-1] + (rhs << prec) // sigma)
-            up_sums.append(up_sums[-1] + up[-1])
-        else:  # rows i, i+1 give x_i
+            up_sum += up[-1]
+        else:  # rows i, i+1 give x_i; S(n-1-i) is up_sum less the newest x
             i = n - len(down)
-            rhs = v[i + 1] - v[i] - drops[i] * up_sums[n - 1 - i]
+            rhs = v[i + 1] - v[i] - drops[i] * (up_sum - up[-1])
             down.append(down[-1] - (rhs << prec) // sigma)
-            down_sums.append(down_sums[-1] + down[-1])
-    residuals = (up[-1] - down[-1], total - up_sums[-1] - down_sums[-1] + down[-1])
+            down_sum += down[-1]
+    residuals = (up[-1] - down[-1], total - up_sum - down_sum + down[-1])
     return up + down[-2::-1], residuals
 
 

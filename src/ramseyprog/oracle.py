@@ -133,7 +133,7 @@ def progressions_from(
     """Every k-term progression with first term a and low-difference d inside
     [1, N], in ascending conjugate-vector order.
 
-    From the definition, sharing no code with the chain-length kernel that
+    From the definition, sharing no code with ``chain_starts``, the kernel
     the oracle checks: each prefix grows by every allowed gap, smallest
     first, while its remaining terms still fit in [1, N] at the least gap.
     Generated for the given d directly (a term tuple can be valid under

@@ -18,7 +18,7 @@ Everything here is a pure function of its inputs; there is no shared state.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 SEMI = "semi"
 QUASI = "quasi"
@@ -230,27 +230,19 @@ def forced_elements(p: Progression) -> set:
     return out
 
 
-def fill_chains(
-    colors: Sequence[int], points: Iterable[int], offsets: Sequence[int], lengths: list
-) -> None:
-    """The chain-length kernel.  For each 0-based point i of ``points``, in
-    order, set lengths[i] to 1 + max lengths[i+s] over the ``offsets`` s
-    that land inside ``colors`` on i's color.  Backward offsets over
-    ascending points give the longest monochromatic chain ending at each
-    point; forward offsets over descending points, the longest one starting
-    there.
+def chain_starts(points: int, gaps: Sequence[int], k: int) -> list:
+    """The chain kernel: with ``points`` one color class (bit i for 0-based
+    point i), entry j - 1 is T_j, where T_1 = points and T_(j+1) = points &
+    OR_g (T_j >> g) over the ``gaps``; bit i of T_j is set where a chain of
+    j terms of the class starts.  After an empty T_j the rest are 0, unshifted.
     """
-    n = len(colors)
-    for i in points:
-        c = colors[i]
-        best = 0
-        for s in offsets:
-            j = i + s
-            if not 0 <= j < n:
-                break
-            if colors[j] == c and lengths[j] > best:
-                best = lengths[j]
-        lengths[i] = best + 1
+    sets = [points]
+    while len(sets) < k and sets[-1]:
+        reach = 0
+        for g in gaps:
+            reach |= sets[-1] >> g
+        sets.append(points & reach)
+    return sets + [0] * (k - len(sets))
 
 
 def primary_walk(
@@ -264,27 +256,27 @@ def primary_walk(
     gaps and window out once.
 
     Plain greedy on the coloring is wrong (the smallest feasible entry can
-    dead-end before k terms), so the forward chain lengths for d come first.
-    Each step then takes the smallest gap to a point whose chain still has
-    the terms left to place; one exists whenever the current point's chain
-    is long enough, so the walk never backtracks and gives the minimum.
+    dead-end before k terms), so the sets T_j of a's color over the window
+    (bit i for point a + i) come first.  Each step then takes the smallest
+    gap to a point whose chain still has the terms left to place; one exists
+    whenever the current point's chain is long enough, so the walk never
+    backtracks and gives the minimum.
     """
-    c = colors[a - 1]
-    starting = [0] * len(colors)
-    # only a's color matters
-    points = [i for i in range(last - 1, a - 2, -1) if colors[i] == c]
-    fill_chains(colors, points, gaps, starting)
-    if starting[a - 1] < k:
+    c, points = colors[a - 1], 0  # a's class over the window, bit i for a + i
+    for x in reversed(colors[a - 1:last]):
+        points = points << 1 | (x == c)
+    sets = chain_starts(points, gaps, k)
+    if not sets[-1] & 1:
         return None
-    i, terms = a - 1, [a]
-    for need in range(k - 1, 0, -1):
-        # starting[i] > need, so some gap reaches a chain of need terms (only
-        # points of a's color have one) before the gaps leave [1, N]
+    i, terms = 0, [a]
+    for need in range(k - 2, -1, -1):
+        # bit i of T_(need+2) is set, so some gap reaches a chain of need + 1
+        # terms (only points of a's color have one) inside the window
         for g in gaps:
-            if starting[i + g] >= need:
+            if sets[need] >> (i + g) & 1:
                 break
         i += g
-        terms.append(i + 1)
+        terms.append(a + i)
     return tuple(terms)
 
 
@@ -312,24 +304,29 @@ def find_monochromatic(chi: Coloring, k: int, family: Family) -> Optional[Progre
     """Some monochromatic k-term progression of the family inside [1, N], or None.
 
     Deterministic: the result is the smallest (a, d, conjugate vector)
-    triple.  For each d up to (N - 1) // (k - 1), since even the tightest
-    progression spans (k-1)d, a right-to-left pass fills the forward chain
-    lengths and keeps the least first term whose chain reaches k.  Later
-    passes only look at earlier first terms, so they stop where those
-    chains end, and one column is held at a time.
+    triple.  Each color class is one int, built once.  For each d up to
+    (N - 1) // (k - 1), since even the tightest progression spans (k-1)d,
+    the least set bit of the classes' T_k is the least first term whose
+    chain reaches k.  Later passes only look at earlier first terms, so
+    each class is cut to the window where those chains end.
     """
     if k < 2:
         raise ValueError("progressions need at least two terms")
     n = chi.n_points
+    # one string join per class: shifting in a bit per point, as primary_walk
+    # does on its short window, would take time quadratic in N
+    classes = [int("".join("01"[x == c] for x in reversed(chi.colors)), 2)
+               for c in set(chi.colors)]
     best_d, firsts = 0, n  # 0-based first terms below firsts can still win
     for d in range(1, (n - 1) // (k - 1) + 1):
         if not firsts:
             break
         gaps = tuple(family.allowed_gaps(d)[:n])
-        starting = [0] * n
-        last = min(n, firsts + (k - 1) * gaps[-1])
-        fill_chains(chi.colors, range(last - 1, -1, -1), gaps, starting)
-        a = next((a for a in range(firsts) if starting[a] >= k), None)
-        if a is not None:
-            best_d, firsts = d, a
+        window = (1 << firsts + (k - 1) * gaps[-1]) - 1
+        starts = 0
+        for points in classes:
+            starts |= chain_starts(points & window, gaps, k)[-1]
+        starts &= (1 << firsts) - 1
+        if starts:
+            best_d, firsts = d, (starts & -starts).bit_length() - 1
     return primary_progression(chi, firsts + 1, best_d, k, family) if best_d else None

@@ -29,7 +29,6 @@ from .errors import BudgetExceededError, WitnessFormatError
 from .progressions import (
     Coloring,
     Family,
-    fill_chains,
     find_monochromatic,
     record,
 )
@@ -131,7 +130,7 @@ def exact_threshold(
     witness is invalid, and so is each of its extensions.  Growth adds the
     new point's predecessors and row to every column, builds a new
     low-difference's column along the path (d = 1 on reaching N = k, its
-    rows by progressions.fill_chains), and reruns each level's forward
+    rows by the node step's rule), and reruns each level's forward
     check with the node step's blocking routine, which logs only the new
     point's blocks; the search goes on at the new point.
     """
@@ -185,7 +184,9 @@ def exact_threshold(
                 gaps = tuple(family.allowed_gaps(d)[: budget.max_length])
                 preds = [tuple(j - g for g in gaps if g <= j) for j in range(N)]
                 lengths = [0] * N
-                fill_chains(colors, range(i), tuple(-g for g in gaps), lengths)
+                for j in range(i):  # the node step's rule, along the path
+                    same = [lengths[q] for q in preds[j] if colors[q] == colors[j]]
+                    lengths[j] = 1 + max(same, default=0)
                 columns.append((preds, lengths, gaps))
             for j in range(i):
                 bit = 1 << colors[j]

@@ -8,8 +8,8 @@ from ramseyprog.progressions import (
     Coloring,
     Family,
     Progression,
+    chain_starts,
     conjugate_vector,
-    fill_chains,
     find_monochromatic,
     forced_elements,
     primary_progression,
@@ -357,26 +357,71 @@ def test_find_monochromatic_examples():
 
 
 def test_find_monochromatic_matches_brute_force():
+    # the least (a, d, conjugate vector) triple: the first primary over a
+    # ascending, then d ascending
     rng = random.Random(107)
     families = [Family.semi(m) for m in (1, 2)] + [Family.quasi(n) for n in (0, 1)]
     from brute import has_mono
 
+    found = 0
     for _ in range(300):
-        N = rng.randint(2, 10)
-        chi = Coloring(tuple(rng.randint(0, 1) for _ in range(N)), 2)
+        r = rng.choice((2, 3))
+        N = rng.randint(2, 14)
+        chi = Coloring(tuple(rng.randrange(r) for _ in range(N)), r)
         fam = rng.choice(families)
         k = rng.randint(2, 4)
         got = find_monochromatic(chi, k, fam)
+        want = next(
+            ((terms, d) for a in range(1, N + 1)
+             for d in range(1, (N - 1) // (k - 1) + 1)
+             for terms in [lexmin_primary(chi.colors, a, d, k, fam.kind, fam.param)]
+             if terms is not None),
+            None,
+        )
         assert (got is not None) == has_mono(chi.colors, k, fam.kind, fam.param)
-        if got is not None:
-            assert Progression(got.terms, got.low_difference, fam) == got
-            base = chi.colors[got.terms[0] - 1]
-            assert all(chi.colors[t - 1] == base for t in got.terms)
+        if want is None:
+            assert got is None
+            continue
+        found += 1
+        assert (got.terms, got.low_difference) == want
+        assert Progression(got.terms, got.low_difference, fam) == got
+    assert found > 100
 
 
-def test_fill_chains_matches_brute_force():
-    # every low-difference's column, backward offsets over ascending points
-    # and forward offsets over descending points
+def test_find_monochromatic_one_color_certificate():
+    # the long certificate of the witness benchmark: one color throughout
+    got = find_monochromatic(Coloring((0,) * 1500, 2), 1200, Family.semi(1))
+    assert got.terms == tuple(range(1, 1201)) and got.low_difference == 1
+
+
+def test_find_monochromatic_cuts_later_passes_to_the_window(monkeypatch):
+    # point 1 has a color of its own, so the least progression has d = 1 and
+    # starts at point 2 (bit 1); every later pass then only needs the chains
+    # from point 1, which end within (k - 1) * max gap + 1 points, where
+    # without the cut it would shift all N points
+    import ramseyprog.progressions as progressions
+
+    kernel, seen = progressions.chain_starts, []
+
+    def recorded(points, gaps, k):
+        seen.append((gaps, points.bit_length()))
+        return kernel(points, gaps, k)
+
+    monkeypatch.setattr(progressions, "chain_starts", recorded)
+    rng = random.Random(109)
+    for fam, k in [(Family.semi(1), 4), (Family.semi(2), 3), (Family.quasi(1), 5)]:
+        seen.clear()
+        colors = (2,) + (0,) * k + (1,) + tuple(rng.randrange(2) for _ in range(200))
+        got = find_monochromatic(Coloring(colors, 3), k, fam)
+        assert got.terms == tuple(range(2, k + 2)) and got.low_difference == 1
+        later = [(gaps, bits) for gaps, bits in seen if gaps[0] > 1]
+        assert len(later) > 20
+        assert all(bits <= (k - 1) * gaps[-1] + 1 for gaps, bits in later)
+
+
+def test_chain_starts_matches_brute_force():
+    # every low-difference's sets for every color class: a point's count of
+    # T_j holding it is the longest chain of its color that starts there
     rng = random.Random(108)
     families = [Family.semi(m) for m in (1, 2, 3)] + [
         Family.quasi(n) for n in (0, 1, 2)
@@ -389,14 +434,16 @@ def test_fill_chains_matches_brute_force():
         fam = rng.choice(families)
         for d in range(1, max(N, 2)):
             gaps = tuple(fam.allowed_gaps(d))
-            back, fwd = [0] * N, [0] * N
-            fill_chains(colors, range(N), tuple(-g for g in gaps), back)
-            fill_chains(colors, range(N - 1, -1, -1), gaps, fwd)
-            for p in range(1, N + 1):
-                want = longest_chain(colors, p, d, fam.kind, fam.param, ending=True)
-                assert back[p - 1] == want
-                assert fwd[p - 1] == longest_chain(
-                    colors, p, d, fam.kind, fam.param, ending=False
-                )
-                long_chains += want >= 4
+            for c in range(r):
+                points = sum(1 << i for i, x in enumerate(colors) if x == c)
+                sets = chain_starts(points, gaps, N + 1)
+                assert len(sets) == N + 1
+                for p in range(1, N + 1):
+                    got = sum(t >> (p - 1) & 1 for t in sets)
+                    if colors[p - 1] != c:
+                        assert got == 0
+                        continue
+                    want = longest_chain(colors, p, d, fam.kind, fam.param, ending=False)
+                    assert got == want
+                    long_chains += want >= 4
     assert long_chains > 50
